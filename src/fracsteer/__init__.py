@@ -1,14 +1,13 @@
 """Simulation and regularized steering of fractional multi-delay systems."""
 
-from .backend import BACKEND_NAME, HAVE_COMPILED
+from .backend import BACKEND_NAME
 from .config import ExperimentConfig, parse_config, synthesize_shape
 from .control import (ControlProblem, Grammian, SweepReport, beta_sweep,
                       closed_loop_solve, compute_grammian, control_energy,
                       residual_p, resolvent_apply, synthesize_control)
 from .errors import (ConfigError, DomainError, GridMismatchError,
                      InsufficientDataError, ModelValidationError,
-                     OuterLoopDivergenceError, PicardDivergenceError,
-                     SeriesConvergenceError)
+                     OuterLoopDivergenceError, PicardDivergenceError)
 from .fractional import (ConvolutionKernel, FracOrder, SampledFunction,
                          SingularWeights, build_singular_weights,
                          caputo_derivative, convolution_kernel, frac_integral,

@@ -1,38 +1,15 @@
-"""Memory-convolution backend selection.
+"""Memory convolution of the lag-decomposed product quadrature.
 
 The triangular lag convolution is the only superlinear loop in the
-library.  A compiled extension implements it when available; otherwise a
-vectorized numpy fallback is used.  Set ``FRACSTEER_PURE_PYTHON=1`` to
-force the fallback (used by the benchmark and the equivalence tests).
+library; it runs as one numpy contraction per target node.
 """
-
-import os
 
 import numpy as np
 
 from .errors import GridMismatchError
 
-if os.environ.get("FRACSTEER_PURE_PYTHON"):
-    _compiled = None
-else:
-    try:
-        from . import _memcore as _compiled
-    except ImportError:
-        _compiled = None
-
-HAVE_COMPILED = _compiled is not None
-BACKEND_NAME = "compiled" if HAVE_COMPILED else "numpy"
-
-
-def _convolve_numpy(first, lag, last, efac, g):
-    n = g.shape[0] - 1
-    out = np.zeros_like(g)
-    for i in range(1, n + 1):
-        out[i] = first[i] * efac[i] * g[0] + last * efac[0] * g[i]
-        if i > 1:
-            # rows i-1 .. 1 of g pair with lags 1 .. i-1
-            out[i] += np.einsum("j,jm,jm->m", lag[1:i], efac[1:i], g[i - 1:0:-1])
-    return out
+# the convolution path, stamped into benchmark environment records
+BACKEND_NAME = "numpy"
 
 
 def memory_convolve(first, lag, last, efac, g):
@@ -42,7 +19,11 @@ def memory_convolve(first, lag, last, efac, g):
     of a ConvolutionKernel, ``last`` its constant last-node weight;
     ``efac[j]`` holds the per-mode operator eigenfactors at lag j and
     ``g[k]`` the per-mode integrand at node k.  Returns the array of
-    weighted sums, one row per target node (row 0 is zero).
+    weighted sums, one row per target node (row 0 is zero)::
+
+        out[i, m] = first[i] * efac[i, m] * g[0, m]
+                  + sum_{j=1}^{i-1} lag[j] * efac[j, m] * g[i-j, m]
+                  + last * efac[0, m] * g[i, m]
     """
     first = np.ascontiguousarray(first, dtype=float)
     lag = np.ascontiguousarray(lag, dtype=float)
@@ -54,6 +35,12 @@ def memory_convolve(first, lag, last, efac, g):
     if first.shape[0] != g.shape[0] or lag.shape[0] != g.shape[0]:
         raise GridMismatchError(
             f"weight length {first.shape[0]} does not match history length {g.shape[0]}")
-    if _compiled is not None:
-        return _compiled.memory_convolve(first, lag, float(last), efac, g)
-    return _convolve_numpy(first, lag, float(last), efac, g)
+    last = float(last)
+    n = g.shape[0] - 1
+    out = np.zeros_like(g)
+    for i in range(1, n + 1):
+        out[i] = first[i] * efac[i] * g[0] + last * efac[0] * g[i]
+        if i > 1:
+            # rows i-1 .. 1 of g pair with lags 1 .. i-1
+            out[i] += np.einsum("j,jm,jm->m", lag[1:i], efac[1:i], g[i - 1:0:-1])
+    return out

@@ -31,9 +31,6 @@ class Grammian:
     def __post_init__(self):
         object.__setattr__(self, "diagonal", np.asarray(self.diagonal, dtype=float))
 
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
 
 @dataclass(frozen=True)
 class ControlProblem:

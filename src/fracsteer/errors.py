@@ -13,15 +13,6 @@ class InsufficientDataError(ValueError):
     """Too few samples for the requested discrete operation."""
 
 
-class SeriesConvergenceError(RuntimeError):
-    """A series evaluation hit its term cap before meeting the tail criterion."""
-
-    def __init__(self, message, last_term=None, partial_sum=None):
-        super().__init__(message)
-        self.last_term = last_term
-        self.partial_sum = partial_sum
-
-
 class ModelValidationError(ValueError):
     """A model configuration violates one of its construction-time checks.
 

@@ -21,12 +21,11 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, SeriesConvergenceError
-from .fractional import FracOrder, _as_alpha
+from .errors import DomainError
+from .fractional import _as_alpha
 from .gammafn import gamma, log_gamma, rgamma
 
 _SERIES_MAX_TERMS = 500
@@ -37,15 +36,6 @@ _SERIES_TAIL_RTOL = 1e-16
 # the factor, so these keep ~1e-9 (density) and ~1e-10 (Mittag-Leffler)
 _CANCELLATION_LIMIT = 1e6
 _ML_CANCELLATION_LIMIT = 1e4
-
-
-@dataclass(frozen=True)
-class DensityEval:
-    """One evaluation of the Wright-type density zeta_alpha."""
-
-    alpha: FracOrder
-    theta: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -108,26 +98,8 @@ def _wright_series_double(alpha: float, theta: float):
                 return math.fsum(terms), max_abs
         else:
             small_streak = 0
-    # term cap reached: let the caller switch to extended precision
+    # term cap reached: the caller falls back to _wright_integral
     return None, math.inf
-
-
-def _wright_series_mp(alpha: float, theta: float, extra_digits: int) -> float:
-    dps = 30 + extra_digits
-    with mpmath.workdps(dps):
-        a = mpmath.mpf(alpha)
-        th = mpmath.mpf(theta)
-        pref = 1.0 / (a * mpmath.pi)
-        s = mpmath.mpf(0)
-        tol = mpmath.mpf(10) ** (-dps + 5)
-        for n in range(1, 20 * _SERIES_MAX_TERMS):
-            t = (pref * (-1) ** (n - 1) * mpmath.gamma(n * a + 1)
-                 / mpmath.factorial(n) * mpmath.sin(n * mpmath.pi * a) * th ** (n - 1))
-            s += t
-            if n > 3 and abs(t) < tol * max(abs(s), mpmath.mpf(1e-320)):
-                return float(s)
-        raise SeriesConvergenceError(
-            f"wright_pdf extended-precision series stalled at alpha={alpha}, theta={theta}")
 
 
 @lru_cache(maxsize=1 << 18)

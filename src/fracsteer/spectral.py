@@ -50,12 +50,6 @@ class SpectralState:
         return SpectralState(np.zeros(n))
 
 
-def _check_same_truncation(u: SpectralState, v: SpectralState):
-    if u.truncation != v.truncation:
-        raise ModelValidationError(
-            f"states have truncations {u.truncation} and {v.truncation}")
-
-
 @dataclass(frozen=True)
 class DelayFn:
     """Named delay function from the closed vocabulary.
@@ -247,26 +241,6 @@ class ModelSpec:
         if t == 0.0:
             return np.full(self.truncation, 1.0 / gamma(self.alpha))
         return ml_array(self.alpha, self.alpha, -self.eigenvalues * t ** self.alpha)
-
-    def evaluate_nonlinearity(self, channels) -> np.ndarray:
-        """F(s, W_delta): per-mode nonlinearity of the channel average.
-
-        ``channels`` holds one multiplier-applied delayed-state vector
-        per state-delay channel; with no channels F is identically 0.
-        The configured norm bound is asserted on every evaluation.
-        """
-        if not channels:
-            return np.zeros(self.truncation)
-        avg = np.mean(channels, axis=0)
-        out = self.nonlinearity(avg)
-        limit = self.f_bound_total()
-        if math.isfinite(limit):
-            nrm = float(np.linalg.norm(out))
-            if nrm > limit * (1.0 + 1e-12):
-                raise ModelValidationError(
-                    f"nonlinearity norm {nrm} exceeds its bound {limit}",
-                    hypothesis="(H6)")
-        return out
 
 
 def apply_semigroup(m: ModelSpec, t: float, u: SpectralState) -> SpectralState:

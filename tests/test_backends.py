@@ -1,10 +1,10 @@
-"""Compiled vs pure-numpy memory-convolution backends."""
+"""Memory convolution of the lag-decomposed product quadrature."""
 
 import numpy as np
 import pytest
 
-from fracsteer.backend import (BACKEND_NAME, HAVE_COMPILED, _convolve_numpy,
-                               memory_convolve)
+import fracsteer
+from fracsteer.backend import memory_convolve
 from fracsteer.errors import GridMismatchError
 from fracsteer.fractional import convolution_kernel
 
@@ -17,26 +17,26 @@ def _random_case(n=64, modes=8, seed=0):
     return kern, efac, g
 
 
+def _dense_oracle(kern, efac, g):
+    # out[i, m] = sum_k row(i)[k] * efac[i - k, m] * g[k, m], row 0 zero
+    out = np.zeros_like(g)
+    for i in range(1, kern.n_steps + 1):
+        k = np.arange(i + 1)
+        out[i] = kern.row(i) @ (efac[i - k] * g[k])
+    return out
+
+
 def test_backend_name_consistent():
-    assert BACKEND_NAME in ("compiled", "numpy")
-    assert (BACKEND_NAME == "compiled") == HAVE_COMPILED
+    # the benchmark's environment stamp reads this constant on every run
+    assert fracsteer.BACKEND_NAME == "numpy"
 
 
-def test_dispatch_matches_numpy_reference():
-    kern, efac, g = _random_case()
-    got = memory_convolve(kern.first_node, kern.lag, kern.last_node, efac, g)
-    ref = _convolve_numpy(kern.first_node, kern.lag, kern.last_node, efac, g)
-    assert np.allclose(got, ref, rtol=1e-13, atol=1e-14)
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled extension unavailable")
-def test_compiled_matches_numpy_across_sizes():
-    from fracsteer import _memcore
+def test_matches_dense_row_oracle():
     for n, modes, seed in ((16, 1, 1), (64, 8, 2), (256, 32, 3)):
         kern, efac, g = _random_case(n, modes, seed)
-        call = (kern.first_node, kern.lag, kern.last_node, efac, g)
-        assert np.allclose(_memcore.memory_convolve(*call),
-                           _convolve_numpy(*call), rtol=1e-13, atol=1e-14)
+        got = memory_convolve(kern.first_node, kern.lag, kern.last_node, efac, g)
+        np.testing.assert_allclose(got, _dense_oracle(kern, efac, g),
+                                   rtol=1e-13, atol=1e-14)
 
 
 def test_shape_validation():
@@ -50,15 +50,3 @@ def test_shape_validation():
     with pytest.raises(GridMismatchError):
         memory_convolve(kern.first_node[:-1], kern.lag, kern.last_node,
                         efac, g)
-
-
-def test_pure_python_env_override():
-    import os
-    import subprocess
-    import sys
-    code = ("from fracsteer.backend import BACKEND_NAME; "
-            "print(BACKEND_NAME)")
-    env = dict(os.environ, FRACSTEER_PURE_PYTHON="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"

@@ -7,6 +7,7 @@ import pytest
 
 from fracsteer.errors import DomainError, ModelValidationError
 from fracsteer.gammafn import gamma
+from fracsteer.solver import _nonlinearity_rows, build_grid_operators
 from fracsteer.special import ml
 from fracsteer.spectral import (DelayFn, ModelSpec, NonlinearityFn,
                                 SpectralState, apply_S_alpha, apply_T_alpha,
@@ -93,11 +94,16 @@ class TestModelValidation:
                    control_multipliers=(np.ones(2), np.ones(2)))
 
     def test_nonlinearity_bound_enforced(self):
-        m = _model(state_delays=(DelayFn("identity"),),
-                   nonlinearity=NonlinearityFn("bounded_tanh", 0.1))
-        out = m.evaluate_nonlinearity([np.array([0.5, -0.5])])
-        assert np.linalg.norm(out) <= m.f_bound_total() + 1e-12
-        assert np.all(m.evaluate_nonlinearity([]) == 0.0)
+        tanh = NonlinearityFn("bounded_tanh", 0.1)
+        m = _model(state_delays=(DelayFn("identity"),), nonlinearity=tanh)
+        states = np.linspace(-5.0, 5.0, 18).reshape(9, 2)
+        rows = np.linalg.norm(
+            _nonlinearity_rows(m, build_grid_operators(m, 8), states), axis=1)
+        assert np.all(rows <= m.f_bound_total())
+        assert rows.max() > 0.5 * m.f_bound_total()
+        free = _model(nonlinearity=tanh)
+        assert np.all(_nonlinearity_rows(
+            free, build_grid_operators(free, 8), states) == 0.0)
 
 
 class TestOperatorFamilies:
