@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ModelValidationError
 from .solver import SolverConfig
+from .special import ML_NEG_Z_LIMIT
 from .spectral import DelayFn, ModelSpec, NonlinearityFn, SpectralState
 
 _SECTIONS = {
@@ -179,6 +180,18 @@ def _parse_pairs(text: str):
     return pairs
 
 
+def _parse_betas(text: str) -> tuple:
+    """Tikhonov weights: positive and strictly decreasing, as the sweep needs."""
+    betas = tuple(float(b) for b in _split_top(text))
+    if not betas:
+        raise ValueError("needs at least one value")
+    if not all(b > 0.0 for b in betas):
+        raise ValueError(f"all values must be positive, got {text.strip()!r}")
+    if any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
+        raise ValueError(f"values must be strictly decreasing, got {text.strip()!r}")
+    return betas
+
+
 def _raw_sections(text: str):
     sections, keys = {}, {}
     current = None
@@ -297,6 +310,15 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"[model]: {exc}{hint}") from None
     except DomainError as exc:
         raise ConfigError(f"[model]: {exc}") from None
+    # the stiffest eigenfactor argument, -lambda_max horizon^alpha, must
+    # stay inside the range the Mittag-Leffler routes are validated for
+    z_min = -float(np.max(spec.eigenvalues)) * spec.horizon ** spec.alpha
+    if z_min < -ML_NEG_Z_LIMIT:
+        key = "truncation" if eigenvalues is None else "eigenvalues"
+        raise ConfigError(
+            f"[model] {key}: the stiffest mode reaches z = {z_min:g}, beyond "
+            f"the supported Mittag-Leffler range z >= {-ML_NEG_Z_LIMIT:g}",
+            line=model.line(key))
 
     try:
         solver_cfg = SolverConfig(
@@ -309,11 +331,16 @@ def parse_config(text: str) -> ExperimentConfig:
     target = item(control, "target",
                   lambda s: SpectralState(synthesize_shape(s, n)),
                   default=SpectralState.zero(n))
-    betas = item(control, "betas",
-                 lambda s: tuple(float(b) for b in _split_top(s)),
-                 default=(1e-1, 1e-2, 1e-3, 1e-4))
+    betas = item(control, "betas", _parse_betas, default=(1e-1, 1e-2, 1e-3, 1e-4))
     outer_tol = control.number("outer_tol", float, default=1e-8)
+    if not outer_tol > 0.0:
+        raise ConfigError(f"[control] outer_tol: must be positive, got {outer_tol!r}",
+                          line=control.line("outer_tol"))
     outer_max_iters = control.number("outer_max_iters", int, default=100)
+    if outer_max_iters < 1:
+        raise ConfigError(
+            f"[control] outer_max_iters: must be >= 1, got {outer_max_iters}",
+            line=control.line("outer_max_iters"))
 
     out_dir = output.get("dir", default="out")
     x_points = item(output, "x_points",

@@ -49,6 +49,9 @@ class ControlProblem:
                 f"model truncation {self.model.truncation}")
         if self.outer_tol <= 0.0:
             raise DomainError("outer_tol must be positive")
+        if self.outer_max_iters < 1:
+            raise DomainError(
+                f"outer_max_iters must be >= 1, got {self.outer_max_iters}")
 
 
 @dataclass(frozen=True)
@@ -140,9 +143,7 @@ def synthesize_control(cp: ControlProblem, traj: Trajectory):
     times = traj.dt * np.arange(n + 1)
     tq = _steering_times(m, times)
     bq = m.control_multipliers[-1]
-    mu = np.empty((n + 1, m.truncation))
-    for k in range(n + 1):
-        mu[k] = bq * m.t_alpha_factors(m.horizon - tq[k]) * r.coeffs
+    mu = bq * m.t_alpha_factors(m.horizon - tq) * r.coeffs
     channels = [np.zeros((n + 1, m.truncation))
                 for _ in range(m.control_delay_count - 1)]
     channels.append(mu)

@@ -175,11 +175,8 @@ class _GridOperators:
 def build_grid_operators(m: ModelSpec, n_steps: int) -> _GridOperators:
     dt = m.horizon / n_steps
     times = dt * np.arange(n_steps + 1)
-    s_fac = np.empty((n_steps + 1, m.truncation))
-    t_fac = np.empty((n_steps + 1, m.truncation))
-    for j, t in enumerate(times):
-        s_fac[j] = m.s_alpha_factors(t)
-        t_fac[j] = m.t_alpha_factors(t)
+    s_fac = m.s_alpha_factors(times)
+    t_fac = m.t_alpha_factors(times)
     kern = convolution_kernel(m.alpha, n_steps, dt)
     a = m.alpha
     # exact kernel treatment of the first lag interval: the factor

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .fractional import _as_alpha
@@ -36,6 +35,14 @@ _SERIES_TAIL_RTOL = 1e-16
 # the factor, so these keep ~1e-9 (density) and ~1e-10 (Mittag-Leffler)
 _CANCELLATION_LIMIT = 1e6
 _ML_CANCELLATION_LIMIT = 1e4
+# most negative argument the Mittag-Leffler routes are validated for;
+# config parsing rejects models whose eigenfactors would reach past it
+ML_NEG_Z_LIMIT = 1e4
+# distinct argument tables kept by ml_array; a sweep needs five (E_{a,1}
+# and E_{a,a} on the grid, E_{a,a} at the steering times, and the two
+# first-step weights), so 16 holds them while bounding memory on a fine
+# grid, where each table is (n_steps + 1) x truncation doubles
+_ML_TABLES = 16
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,9 @@ class MittagLefflerParams:
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.beta <= 0.0:
             raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.z > 5.0 or self.z < -1e4:
-            raise DomainError(f"z={self.z} outside the supported range [-1e4, 5]")
+        if self.z > 5.0 or self.z < -ML_NEG_Z_LIMIT:
+            raise DomainError(
+                f"z={self.z} outside the supported range [{-ML_NEG_Z_LIMIT:g}, 5]")
 
 
 def _tail_exponent_scale(alpha: float) -> float:
@@ -133,6 +141,8 @@ def _wright_integral(alpha: float, theta: float) -> float:
         a_val = math.exp(ln_a)
         e = x * a_val
         return 0.0 if e > 700.0 else a_val * math.exp(-e)
+
+    from scipy.integrate import quad
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -228,6 +238,8 @@ def _ml_integral_neg(alpha: float, beta: float, z: float) -> float:
     # the 1/(w^2a - 2 z w^a cos(pi a) + z^2) factor dips near |z|^{1/a}
     wdip = abs(z) ** (1.0 / alpha)
     pts = [wdip] if 1.0 < wdip < _EXP_UNDERFLOW else None
+    from scipy.integrate import quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if abs(exponent) < 1e-13:
@@ -273,13 +285,24 @@ def ml(alpha: float, beta: float, z: float) -> float:
 
 
 def ml_array(alpha: float, beta: float, z) -> np.ndarray:
-    """Vectorized E_{alpha,beta} over an array of arguments."""
+    """E_{alpha,beta} at every element of ``z``, in an array of z's shape.
+
+    The result is read-only and memoized by value: a call with the same
+    (alpha, beta) and the same argument bytes returns the stored table
+    without evaluating ``ml`` again.
+    """
     zf = np.asarray(z, dtype=float)
-    out = np.empty(zf.shape)
-    flat = zf.ravel()
-    dst = out.ravel()
+    return _ml_values(float(alpha), float(beta), zf.tobytes()).reshape(zf.shape)
+
+
+@lru_cache(maxsize=_ML_TABLES)
+def _ml_values(alpha: float, beta: float, zbytes: bytes) -> np.ndarray:
+    """Flat read-only table of ``ml`` over the doubles packed in ``zbytes``."""
+    flat = np.frombuffer(zbytes, dtype=float)
+    out = np.empty(flat.size)
     for i, zi in enumerate(flat):
-        dst[i] = ml(alpha, beta, float(zi))
+        out[i] = ml(alpha, beta, float(zi))
+    out.flags.writeable = False
     return out
 
 
@@ -292,6 +315,8 @@ def s_alpha_route_quadrature(alpha: float, x: float) -> float:
 
     def f(th):
         return wright_pdf(a, th) * math.exp(-x * th)
+
+    from scipy.integrate import quad
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -306,6 +331,8 @@ def t_alpha_route_quadrature(alpha: float, x: float) -> float:
 
     def f(th):
         return th * wright_pdf(a, th) * math.exp(-x * th)
+
+    from scipy.integrate import quad
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -232,15 +232,31 @@ class ModelSpec:
     def semigroup_factors(self, t: float) -> np.ndarray:
         return np.exp(-self.eigenvalues * t)
 
-    def s_alpha_factors(self, t: float) -> np.ndarray:
-        if t == 0.0:
-            return np.ones(self.truncation)
-        return ml_array(self.alpha, 1.0, -self.eigenvalues * t ** self.alpha)
+    def s_alpha_factors(self, t) -> np.ndarray:
+        """E_{a,1}(-lambda_n t^a) per mode: shape (N,) for a scalar t,
+        (len(t), N) for a 1-d array of times.  Read-only; memoized by
+        value through ``ml_array``."""
+        return self._alpha_factors(t, 1.0, 1.0)
 
-    def t_alpha_factors(self, t: float) -> np.ndarray:
-        if t == 0.0:
-            return np.full(self.truncation, 1.0 / gamma(self.alpha))
-        return ml_array(self.alpha, self.alpha, -self.eigenvalues * t ** self.alpha)
+    def t_alpha_factors(self, t) -> np.ndarray:
+        """E_{a,a}(-lambda_n t^a) per mode: shape (N,) for a scalar t,
+        (len(t), N) for a 1-d array of times.  Read-only; memoized by
+        value through ``ml_array``."""
+        return self._alpha_factors(t, self.alpha, 1.0 / gamma(self.alpha))
+
+    def _alpha_factors(self, t, beta: float, at_zero: float) -> np.ndarray:
+        times = np.asarray(t, dtype=float)
+        flat = times.reshape(-1)
+        nonzero = flat != 0.0
+        # one scalar power per time: numpy's array power may differ from
+        # the scalar pow in the last bit, which would change every output
+        tpow = np.array([ti ** self.alpha for ti in flat[nonzero]])
+        table = np.empty((flat.size, self.truncation))
+        table[~nonzero] = at_zero
+        table[nonzero] = ml_array(self.alpha, beta,
+                                  -self.eigenvalues[None, :] * tpow[:, None])
+        table.flags.writeable = False
+        return table[0] if times.ndim == 0 else table
 
 
 def apply_semigroup(m: ModelSpec, t: float, u: SpectralState) -> SpectralState:

@@ -2,10 +2,13 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracsteer
 from fracsteer.cli import main
 
 SMALL = """
@@ -199,3 +202,20 @@ class TestOutputSelection:
         flag_dir = str(tmp_path / "flagout")
         assert main(["--config", cfg, "--out", flag_dir, "simulate"]) == 0
         assert os.path.exists(os.path.join(flag_dir, "simulate.csv"))
+
+
+class TestImports:
+    def test_parsing_leaves_quadrature_unimported(self):
+        code = ("import sys\n"
+                "from importlib import resources\n"
+                "import fracsteer.cli\n"
+                "from fracsteer.config import parse_config\n"
+                "parse_config((resources.files('fracsteer') / 'data'"
+                " / 'default.cfg').read_text())\n"
+                "print('scipy.integrate' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(fracsteer.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert done.stdout.strip() == "False"

@@ -8,6 +8,7 @@ import pytest
 
 from fracsteer.config import parse_config, synthesize_shape
 from fracsteer.errors import ConfigError
+from fracsteer.solver import picard_solve
 
 MINIMAL = """
 [model]
@@ -98,6 +99,59 @@ class TestDiagnostics:
         with pytest.raises(ConfigError) as e:
             parse_config(MINIMAL + "nonlinearity = cubic(2)\n")
         assert "nonlinearity" in str(e.value)
+
+
+class TestControlValues:
+    @pytest.mark.parametrize("key, value", [
+        ("betas", "0.01, 0.1"),
+        ("betas", "0.1, 0"),
+        ("betas", "0.1, -0.01"),
+        ("outer_tol", "0"),
+        ("outer_max_iters", "0"),
+    ])
+    def test_rejected_with_key_and_line(self, key, value):
+        text = MINIMAL + f"\n[control]\ntarget = zero\n{key} = {value}\n"
+        with pytest.raises(ConfigError) as e:
+            parse_config(text)
+        assert key in str(e.value)
+        assert e.value.line == 8
+
+    def test_decreasing_positive_betas_accepted(self):
+        cfg = parse_config(MINIMAL + "\n[control]\nbetas = 0.5, 0.05\n"
+                           "outer_tol = 1e-9\nouter_max_iters = 1\n")
+        assert cfg.betas == (0.5, 0.05)
+        assert cfg.outer_max_iters == 1
+
+
+class TestMittagLefflerRange:
+    def test_truncation_at_the_bound_runs(self):
+        # lambda_max * horizon^alpha = 100^2 = 1e4 exactly
+        cfg = parse_config("[model]\nalpha = 0.9\ntruncation = 100\n"
+                           "u0 = single_mode(1, 1.0)\n[solver]\nn_steps = 8\n")
+        traj = picard_solve(cfg.model, cfg.solver)
+        assert np.all(np.isfinite(traj.states))
+
+    def test_truncation_past_the_bound_rejected(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config("[model]\nalpha = 0.9\ntruncation = 101\n")
+        assert "truncation" in str(e.value)
+        assert e.value.line == 3
+
+    def test_horizon_counts_toward_the_bound(self):
+        text = "[model]\nalpha = 0.5\nhorizon = {h}\ntruncation = 50\n"
+        parse_config(text.format(h=16.0))  # 2500 * 16^0.5 = 1e4
+        with pytest.raises(ConfigError) as e:
+            parse_config(text.format(h=16.5))
+        assert "truncation" in str(e.value)
+
+    def test_given_eigenvalues_named(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config("[model]\nalpha = 0.5\ntruncation = 2\n"
+                         "eigenvalues = 1, 10000.5\n")
+        assert "eigenvalues" in str(e.value)
+        assert e.value.line == 4
+        parse_config("[model]\nalpha = 0.5\ntruncation = 2\n"
+                     "eigenvalues = 1, 10000\n")
 
 
 class TestCanonicalForm:

@@ -188,6 +188,11 @@ class TestClosedLoop:
 
 
 class TestBetaSweep:
+    def test_outer_budget_validated(self):
+        with pytest.raises(DomainError):
+            ControlProblem(model=_model(), target=SpectralState(np.ones(1)),
+                           beta=0.1, outer_max_iters=0)
+
     def test_validation(self):
         m = _model()
         cp = ControlProblem(model=m, target=SpectralState(np.ones(1)), beta=0.1)

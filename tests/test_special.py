@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fracsteer import special
 from fracsteer.errors import DomainError
 from fracsteer.gammafn import gamma, rgamma
 from fracsteer.special import (MittagLefflerParams, _wright_integral,
@@ -135,6 +136,50 @@ class TestMittagLeffler:
         vals = ml_array(0.6, 0.6, -xs)
         for x, v in zip(xs, vals):
             assert v == pytest.approx(ml(0.6, 0.6, -x), rel=1e-13)
+
+
+class TestMemoizedArray:
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    def test_bitwise_equal_to_scalar_calls(self, shape):
+        xs = np.linspace(0.0, 60.0, int(np.prod(shape))).reshape(shape)
+        for a, b in ((0.5, 1.0), (0.7, 0.7), (0.5, 2.5)):
+            vals = ml_array(a, b, -xs)
+            assert vals.shape == shape
+            expect = np.array([ml(a, b, -x) for x in xs.ravel()]).reshape(shape)
+            assert np.array_equal(vals, expect)
+
+    def test_result_is_read_only(self):
+        vals = ml_array(0.6, 1.0, -np.array([0.5, 2.0]))
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+        assert ml_array(0.6, 1.0, -np.array([0.5, 2.0]))[0] == ml(0.6, 1.0, -0.5)
+
+    def test_input_mutation_does_not_leak(self):
+        z = -np.array([0.5, 2.0, 7.0])
+        first = ml_array(0.55, 1.0, z)
+        kept = first.copy()
+        z[1] = -3.0
+        assert np.array_equal(first, kept)
+        assert ml_array(0.55, 1.0, z)[1] == ml(0.55, 1.0, -3.0)
+        assert np.array_equal(ml_array(0.55, 1.0, -np.array([0.5, 2.0, 7.0])), kept)
+
+    def test_repeat_call_skips_evaluation(self, monkeypatch):
+        z = -np.array([0.25, 1.5, 9.0])
+        special._ml_values.cache_clear()
+        calls = [0]
+        inner = special.ml
+
+        def counting(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(special, "ml", counting)
+        first = ml_array(0.45, 0.45, z)
+        assert calls[0] == 3
+        assert np.array_equal(ml_array(0.45, 0.45, z.copy()), first)
+        assert calls[0] == 3
+        ml_array(0.45, 1.0, z)
+        assert calls[0] == 6
 
 
 class TestRouteQuadratures:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracsteer import special
 from fracsteer.errors import DomainError, ModelValidationError
 from fracsteer.gammafn import gamma
 from fracsteer.solver import _nonlinearity_rows, build_grid_operators
@@ -162,6 +163,43 @@ class TestOperatorFamilies:
         m = _model(n=2)
         with pytest.raises(ModelValidationError):
             apply_S_alpha(m, 0.5, SpectralState(np.ones(3)))
+
+
+class TestFactorTables:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_array_of_times_matches_scalar_calls(self, alpha):
+        m = _model(n=6, alpha=alpha)
+        times = np.concatenate([[0.0], np.linspace(0.0, 1.0, 33)[1:], [0.3]])
+        for method in (m.s_alpha_factors, m.t_alpha_factors):
+            table = method(times)
+            assert table.shape == (times.size, 6)
+            assert np.array_equal(table, np.stack([method(t) for t in times]))
+        assert np.all(m.s_alpha_factors(times)[0] == 1.0)
+        assert np.all(m.t_alpha_factors(times)[0] == 1.0 / gamma(alpha))
+
+    def test_tables_are_read_only(self):
+        m = _model(n=3, alpha=0.5)
+        for f in (m.s_alpha_factors(0.0), m.t_alpha_factors(0.4),
+                  m.t_alpha_factors(np.array([0.0, 0.4]))):
+            with pytest.raises(ValueError):
+                f[0] = 2.0
+
+    def test_rebuild_makes_no_ml_calls(self, monkeypatch):
+        m = _model(n=4, alpha=0.6, eigenvalues=np.array([1.0, 3.5, 8.0, 20.0]))
+        special._ml_values.cache_clear()
+        first = build_grid_operators(m, 16)
+        calls = [0]
+        inner = special.ml
+
+        def counting(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(special, "ml", counting)
+        again = build_grid_operators(m, 16)
+        assert calls[0] == 0
+        assert np.array_equal(again.s_factors, first.s_factors)
+        assert np.array_equal(again.efac_mem, first.efac_mem)
 
 
 class TestMultipliers:
