@@ -10,15 +10,12 @@ from .errors import (ConfigError, DomainError, GridMismatchError,
                      OuterLoopDivergenceError, PicardDivergenceError)
 from .fractional import (ConvolutionKernel, FracOrder, SampledFunction,
                          SingularWeights, build_singular_weights,
-                         caputo_derivative, convolution_kernel, frac_integral,
-                         rl_derivative)
-from .solver import (SolverConfig, Trajectory, eval_delayed_state,
-                     mild_residual, nonlocal_offset, picard_solve)
-from .special import (MittagLefflerParams, mittag_leffler, ml, ml_array,
-                      underflow_cutoff, wright_moment, wright_pdf)
+                         convolution_kernel, frac_integral)
+from .solver import (SolverConfig, Trajectory, mild_residual,
+                     nonlocal_offsets, picard_solve)
+from .special import (ml, ml_array, underflow_cutoff, wright_moment,
+                      wright_pdf)
 from .spectral import (DelayFn, ModelSpec, NonlinearityFn, SpectralState,
-                       apply_S_alpha, apply_T_alpha, apply_control_multiplier,
-                       apply_semigroup, apply_state_multiplier,
                        synthesize_physical)
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as configmod
 from .control import ControlProblem, beta_sweep, closed_loop_solve, synthesize_control
-from .errors import OuterLoopDivergenceError, PicardDivergenceError
+from .errors import ConfigError, OuterLoopDivergenceError, PicardDivergenceError
 from .fractional import SampledFunction, build_singular_weights, frac_integral
 from .gammafn import gamma
 from .solver import picard_solve
@@ -50,22 +50,28 @@ def _write_csv(path, meta, header, rows, trailer=()):
             f.write(f"# {k} = {v}\n")
 
 
-def _load_config(args) -> configmod.ExperimentConfig:
+def _load_config(args, parser) -> configmod.ExperimentConfig:
+    """Parse the config with the command-line overrides merged in, so they
+    meet the same checks and enter the digest; errors exit with status 2."""
     if args.config:
-        with open(args.config) as f:
-            text = f.read()
+        try:
+            with open(args.config) as f:
+                text = f.read()
+        except OSError as exc:
+            parser.error(f"cannot read config file {args.config!r}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            parser.error(f"cannot read config file {args.config!r}: {exc.reason}")
     else:
         text = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
-    cfg = configmod.parse_config(text)
-    if args.steps:
-        import dataclasses
-        cfg = dataclasses.replace(
-            cfg, solver=dataclasses.replace(cfg.solver, n_steps=args.steps))
-    if args.beta:
-        import dataclasses
-        betas = tuple(float(b) for b in args.beta.split(","))
-        cfg = dataclasses.replace(cfg, betas=betas)
-    return cfg
+    overrides = {}
+    if args.steps is not None:
+        overrides[("solver", "n_steps")] = str(args.steps)
+    if args.beta is not None:
+        overrides[("control", "betas")] = args.beta
+    try:
+        return configmod.parse_config(text, overrides)
+    except ConfigError as exc:
+        parser.error(f"{args.config}: {exc}" if args.config else str(exc))
 
 
 def _out_dir(cfg, args) -> str:
@@ -228,7 +234,7 @@ def main(argv=None) -> int:
                                             "verify-kernels"])
     args = parser.parse_args(argv)
 
-    cfg = _load_config(args)
+    cfg = _load_config(args, parser)
     out_dir = _out_dir(cfg, args)
     runner = {"simulate": run_simulate, "synthesize": run_synthesize,
               "sweep": run_sweep, "verify-kernels": run_verify_kernels}

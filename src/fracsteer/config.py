@@ -247,9 +247,17 @@ class _SectionReader:
                 line=self.line(key)) from None
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate an experiment configuration."""
+def parse_config(text: str, overrides=None) -> ExperimentConfig:
+    """Parse and fully validate an experiment configuration.
+
+    ``overrides`` maps (section, key) to raw value text that replaces the
+    text's value before validation, so it meets the same checks and enters
+    the canonical form and digest.
+    """
     raw, lines = _raw_sections(text)
+    for (section, key), value in (overrides or {}).items():
+        raw.setdefault(section, {})[key] = value
+        lines.pop((section, key), None)
     model = _SectionReader("model", raw.get("model", {}), lines)
     solver = _SectionReader("solver", raw.get("solver", {}), lines)
     control = _SectionReader("control", raw.get("control", {}), lines)

@@ -14,8 +14,8 @@ import numpy as np
 from .errors import (DomainError, ModelValidationError,
                      OuterLoopDivergenceError, PicardDivergenceError)
 from .solver import (SolverConfig, Trajectory, _nonlinearity_rows,
-                     build_grid_operators, memory_integral, nonlocal_offset,
-                     picard_solve)
+                     build_grid_operators, memory_integral,
+                     nonlocal_offset_factor, nonlocal_offsets, picard_solve)
 from .spectral import ModelSpec, SpectralState
 
 
@@ -24,9 +24,6 @@ class Grammian:
     """Diagonal control-influence operator on the truncated space."""
 
     diagonal: np.ndarray
-    channel_diagonals: tuple  # read-only per-channel diagnostics
-    alpha: float
-    horizon: float
 
     def __post_init__(self):
         object.__setattr__(self, "diagonal", np.asarray(self.diagonal, dtype=float))
@@ -80,8 +77,7 @@ def compute_grammian(m: ModelSpec, n_steps: int) -> Grammian:
     w_by_lag[1:n_steps] = ops.lag[1:n_steps]
     w_by_lag[n_steps] = ops.first[n_steps]
     base = np.einsum("j,jm,jm->m", w_by_lag, ops.efac_mem, ops.t_factors)
-    channels = tuple(b * b * base for b in m.control_multipliers)
-    return Grammian(np.sum(channels, axis=0), channels, m.alpha, m.horizon)
+    return Grammian(np.sum([b * b * base for b in m.control_multipliers], axis=0))
 
 
 def resolvent_apply(g: Grammian, beta: float, v: SpectralState) -> SpectralState:
@@ -101,8 +97,11 @@ def residual_p(cp: ControlProblem, traj: Trajectory) -> SpectralState:
             f"trajectory horizon {traj.horizon} != model horizon {m.horizon}")
     n = traj.n_steps
     ops = build_grid_operators(m, n)
-    offset = nonlocal_offset(m, traj, m.horizon)
-    free = ops.s_factors[n] * offset.coeffs
+    # the factor at the horizon itself, not ops.offset_factors[n]: the
+    # last grid time (horizon / n) * n need not round back to horizon
+    offset = nonlocal_offsets(m, traj.states, traj.dt,
+                              nonlocal_offset_factor(m.alpha, m.horizon))
+    free = ops.s_factors[n] * offset
     g = _nonlinearity_rows(m, ops, traj.states)
     mem = memory_integral(ops, g)
     return SpectralState(cp.target.coeffs - free - mem[n])

@@ -1,4 +1,4 @@
-"""Discrete fractional integral/derivative operators on uniform grids.
+"""Discrete fractional integral operators on uniform grids.
 
 The central object is the product-trapezoidal quadrature for integrals
 with the weakly singular kernel (t - s)^(alpha - 1): the integrand is
@@ -160,41 +160,3 @@ def frac_integral(f: SampledFunction, order, t: float) -> float:
         raise GridMismatchError(f"t={t} must exceed the grid origin {f.t0}")
     w = build_singular_weights(alpha, m, f.dt)
     return w.apply(f.values[:m + 1]) / gamma(alpha)
-
-
-def _differentiate_on_grid(values: np.ndarray, dt: float, i: int) -> float:
-    # centered in the interior, 2nd-order one-sided at the endpoints
-    n = values.size - 1
-    if i == 0:
-        return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
-    if i == n:
-        return (3.0 * values[n] - 4.0 * values[n - 1] + values[n - 2]) / (2.0 * dt)
-    return (values[i + 1] - values[i - 1]) / (2.0 * dt)
-
-
-def rl_derivative(f: SampledFunction, order, t: float) -> float:
-    """Riemann-Liouville derivative of order alpha in (0, 1] at a grid time.
-
-    For alpha < 1 the (1-alpha)-integral is evaluated on the whole grid
-    and differentiated discretely; for alpha = 1 this is the classical
-    derivative of the samples.
-    """
-    alpha = _as_alpha(order)
-    if f.values.size < 3:
-        raise InsufficientDataError("rl_derivative needs at least 3 samples")
-    i = f.index_of(t)
-    if alpha == 1.0:
-        return _differentiate_on_grid(f.values, f.dt, i)
-    kern = convolution_kernel(1.0 - alpha, f.n_steps, f.dt)
-    g = np.zeros(f.values.size)
-    inv_gamma = 1.0 / gamma(1.0 - alpha)
-    for m in range(1, f.values.size):
-        g[m] = inv_gamma * (kern.row(m) @ f.values[:m + 1])
-    return _differentiate_on_grid(g, f.dt, i)
-
-
-def caputo_derivative(f: SampledFunction, order, t: float) -> float:
-    """Caputo derivative: the RL derivative applied to f - f(t0)."""
-    alpha = _as_alpha(order)
-    shifted = SampledFunction(f.t0, f.dt, f.values - f.values[0])
-    return rl_derivative(shifted, alpha, t)

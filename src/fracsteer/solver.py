@@ -22,7 +22,7 @@ from .errors import (DomainError, GridMismatchError, ModelValidationError,
 from .fractional import convolution_kernel
 from .gammafn import gamma
 from .special import ml_array
-from .spectral import ModelSpec, SpectralState, apply_state_multiplier
+from .spectral import ModelSpec, SpectralState
 
 _GRID_RTOL = 1e-9
 
@@ -84,15 +84,6 @@ class Trajectory:
     def state_at(self, k: int) -> SpectralState:
         return SpectralState(self.states[k])
 
-    def interp(self, t: float) -> np.ndarray:
-        """Linear interpolation of the state at an arbitrary time."""
-        if not (-1e-12 <= t <= self.horizon * (1.0 + 1e-12)):
-            raise GridMismatchError(f"t={t} outside [0, {self.horizon}]")
-        x = min(max(t / self.dt, 0.0), float(self.n_steps))
-        lo = min(int(math.floor(x)), self.n_steps - 1)
-        w = x - lo
-        return (1.0 - w) * self.states[lo] + w * self.states[lo + 1]
-
     def total_forcing(self) -> np.ndarray:
         if not self.controls:
             return np.zeros_like(self.states)
@@ -121,37 +112,22 @@ def nonlocal_offset_factor(alpha: float, t: float) -> float:
     return t ** (1.0 - alpha) / gamma(2.0 - alpha)
 
 
-def _nonlocal_state(m: ModelSpec, states: np.ndarray, dt: float) -> np.ndarray:
-    """sum_k c_k u(t_k), the constant-in-s nonlocal integrand."""
+def nonlocal_offsets(m: ModelSpec, states: np.ndarray, dt: float, factors):
+    """u0 + v0 + factor * sum_k c_k u(t_k), the nonlocal offset.
+
+    ``factors`` holds the kernel factor t^{1-a}/Gamma(2-a) of each wanted
+    time: a 1-d array gives one row per entry, a scalar one vector.  The
+    nonlocal states u(t_k) are linearly interpolated in ``states``.
+    """
+    base = m.u0.coeffs + m.v0.coeffs
+    if not m.nonlocal_terms:
+        return np.broadcast_to(base, np.shape(factors) + base.shape)
     h = np.zeros(m.truncation)
     n = states.shape[0] - 1
     for c, tk in m.nonlocal_terms:
         lo, w = _interp_stencil(dt, n, [tk])
         h += c * _interp_rows(states, lo, w)[0]
-    return h
-
-
-def nonlocal_offset(m: ModelSpec, traj: Trajectory, t: float) -> SpectralState:
-    """u0 + v0 + (t^{1-a}/Gamma(2-a)) * sum_k c_k u(t_k)."""
-    k = int(round(t / traj.dt))
-    if abs(t / traj.dt - k) > _GRID_RTOL or not (0 <= k <= traj.n_steps):
-        raise GridMismatchError(f"t={t} is not on the trajectory grid")
-    base = m.u0.coeffs + m.v0.coeffs
-    if not m.nonlocal_terms:
-        return SpectralState(base.copy())
-    h = _nonlocal_state(m, traj.states, traj.dt)
-    return SpectralState(base + nonlocal_offset_factor(m.alpha, t) * h)
-
-
-def eval_delayed_state(m: ModelSpec, traj: Trajectory, i: int, t: float) -> SpectralState:
-    """A_i applied to the trajectory linearly interpolated at delta_i(t)."""
-    if not (0 <= i < m.state_delay_count):
-        raise DomainError(f"state channel {i} outside 0..{m.state_delay_count - 1}")
-    s = m.state_delays[i](t)
-    if not (-1e-12 <= s <= t + 1e-12):
-        raise ModelValidationError(
-            f"delay value {s} outside [0, t] at t={t}", hypothesis="(H5)")
-    return apply_state_multiplier(m, i, SpectralState(traj.interp(max(s, 0.0))))
+    return base + np.multiply.outer(factors, h)
 
 
 @dataclass(frozen=True)
@@ -258,12 +234,7 @@ def realize_controls(m: ModelSpec, ops: _GridOperators, control) -> tuple:
 
 def _picard_sweep(m, ops, states, forcing):
     """One application of the mild-solution map to the current iterate."""
-    base = m.u0.coeffs + m.v0.coeffs
-    if m.nonlocal_terms:
-        h = _nonlocal_state(m, states, ops.dt)
-        offsets = base[None, :] + ops.offset_factors[:, None] * h[None, :]
-    else:
-        offsets = np.broadcast_to(base, states.shape)
+    offsets = nonlocal_offsets(m, states, ops.dt, ops.offset_factors)
     g = _nonlinearity_rows(m, ops, states) + forcing
     return ops.s_factors * offsets + memory_integral(ops, g)
 

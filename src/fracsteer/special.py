@@ -6,10 +6,10 @@ Two independent routes are maintained on purpose:
   single-integral stable-law representation where the alternating series
   cancels), whose theta-integrals against exp(z*theta) define the
   fractional operator families, and
-* ``mittag_leffler``, the production route for the same operator
-  eigenvalue factors, evaluated by power series where that is safe in
-  double precision and otherwise by a real integral representation on
-  the negative axis.
+* ``ml``, the production route for the same operator eigenvalue
+  factors, evaluated by power series where that is safe in double
+  precision and otherwise by a real integral representation on the
+  negative axis.
 
 The test suite ties the two routes together through the Laplace-type
 identities  int zeta_a(th) e^{-x th} dth = E_{a,1}(-x)  and
@@ -18,7 +18,6 @@ a int th zeta_a(th) e^{-x th} dth = E_{a,a}(-x).
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,22 +42,6 @@ ML_NEG_Z_LIMIT = 1e4
 # first-step weights), so 16 holds them while bounding memory on a fine
 # grid, where each table is (n_steps + 1) x truncation doubles
 _ML_TABLES = 16
-
-
-@dataclass(frozen=True)
-class MittagLefflerParams:
-    alpha: float
-    beta: float
-    z: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.beta <= 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.z > 5.0 or self.z < -ML_NEG_Z_LIMIT:
-            raise DomainError(
-                f"z={self.z} outside the supported range [{-ML_NEG_Z_LIMIT:g}, 5]")
 
 
 def _tail_exponent_scale(alpha: float) -> float:
@@ -252,9 +235,19 @@ def _ml_integral_neg(alpha: float, beta: float, z: float) -> float:
     return head + tail
 
 
-def mittag_leffler(p: MittagLefflerParams) -> float:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z)."""
-    alpha, beta, z = p.alpha, p.beta, p.z
+def ml(alpha: float, beta: float, z: float) -> float:
+    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
+
+    Supported for 0 < alpha <= 1, beta > 0 and -ML_NEG_Z_LIMIT <= z <= 5.
+    """
+    alpha, beta, z = float(alpha), float(beta), float(z)
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    if beta <= 0.0:
+        raise DomainError(f"beta must be positive, got {beta}")
+    if z > 5.0 or z < -ML_NEG_Z_LIMIT:
+        raise DomainError(
+            f"z={z} outside the supported range [{-ML_NEG_Z_LIMIT:g}, 5]")
     if z == 0.0:
         return rgamma(beta)
     if alpha == 1.0 and beta == 1.0:
@@ -274,14 +267,9 @@ def mittag_leffler(p: MittagLefflerParams) -> float:
     if beta >= 1.0 + alpha - 1e-12:
         # outside the integral's validity; reduce the second parameter
         # with E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z
-        lower = mittag_leffler(MittagLefflerParams(alpha, beta - alpha, z))
+        lower = ml(alpha, beta - alpha, z)
         return (lower - rgamma(beta - alpha)) / z
     return _ml_integral_neg(alpha, beta, z)
-
-
-def ml(alpha: float, beta: float, z: float) -> float:
-    """Convenience wrapper building the parameter record."""
-    return mittag_leffler(MittagLefflerParams(float(alpha), float(beta), float(z)))
 
 
 def ml_array(alpha: float, beta: float, z) -> np.ndarray:

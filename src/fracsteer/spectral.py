@@ -1,12 +1,13 @@
-"""Truncated spectral model: states, operator families, and multipliers.
+"""Truncated spectral model: states, operator eigenfactors, and multipliers.
 
 The state space is the span of the first N sine modes on [0, pi]; the
 generator is diagonal with eigenvalues lambda_n (default n^2), so the
-semigroup and the fractional operator families act by per-mode scalar
-factors.  ``ModelSpec`` bundles the generator data with the delay
-functions, the per-mode state/control multipliers, the nonlocal weights,
-and the nonlinearity descriptor, and validates the standing hypotheses
-at construction time.
+fractional operator families S_alpha and T_alpha act by per-mode scalar
+factors, tabulated by ``ModelSpec.s_alpha_factors`` and
+``t_alpha_factors``.  ``ModelSpec`` bundles the generator data with the
+delay functions, the per-mode state/control multipliers, the nonlocal
+weights, and the nonlinearity descriptor, and validates the standing
+hypotheses at construction time.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ModelValidationError
-from .fractional import FracOrder, _as_alpha
+from .fractional import _as_alpha
 from .gammafn import gamma
 from .special import ml_array
 
@@ -41,9 +42,6 @@ class SpectralState:
     @property
     def truncation(self) -> int:
         return self.coeffs.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
     @staticmethod
     def zero(n: int) -> "SpectralState":
@@ -141,7 +139,6 @@ class ModelSpec:
     u0: SpectralState
     v0: SpectralState
     eigenvalues: np.ndarray = None
-    big_m: float = 1.0
     state_delays: tuple = ()
     state_multipliers: tuple = ()
     control_delays: tuple = ()
@@ -165,8 +162,6 @@ class ModelSpec:
             raise ModelValidationError(
                 "need exactly one positive eigenvalue per mode", hypothesis="(H1)")
         object.__setattr__(self, "eigenvalues", lam)
-        if self.big_m < 1.0:
-            raise ModelValidationError(f"semigroup bound must be >= 1, got {self.big_m}")
         for s in (self.u0, self.v0):
             if s.truncation != n:
                 raise ModelValidationError(
@@ -229,9 +224,6 @@ class ModelSpec:
 
     # --- per-mode eigenfactors -------------------------------------------
 
-    def semigroup_factors(self, t: float) -> np.ndarray:
-        return np.exp(-self.eigenvalues * t)
-
     def s_alpha_factors(self, t) -> np.ndarray:
         """E_{a,1}(-lambda_n t^a) per mode: shape (N,) for a scalar t,
         (len(t), N) for a 1-d array of times.  Read-only; memoized by
@@ -257,52 +249,6 @@ class ModelSpec:
                                   -self.eigenvalues[None, :] * tpow[:, None])
         table.flags.writeable = False
         return table[0] if times.ndim == 0 else table
-
-
-def apply_semigroup(m: ModelSpec, t: float, u: SpectralState) -> SpectralState:
-    """Heat semigroup Q(t): per-mode decay e^{-lambda_n t}."""
-    if t < 0.0:
-        raise DomainError(f"semigroup time must be nonnegative, got {t}")
-    if u.truncation != m.truncation:
-        raise ModelValidationError(
-            f"state truncation {u.truncation} != model truncation {m.truncation}")
-    return SpectralState(m.semigroup_factors(t) * u.coeffs)
-
-
-def apply_S_alpha(m: ModelSpec, t: float, u: SpectralState) -> SpectralState:
-    """Fractional solution family: per-mode factor E_{a,1}(-lambda_n t^a)."""
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    if u.truncation != m.truncation:
-        raise ModelValidationError(
-            f"state truncation {u.truncation} != model truncation {m.truncation}")
-    return SpectralState(m.s_alpha_factors(t) * u.coeffs)
-
-
-def apply_T_alpha(m: ModelSpec, t: float, u: SpectralState) -> SpectralState:
-    """Fractional forcing family: per-mode factor E_{a,a}(-lambda_n t^a).
-
-    Diagonal with real entries, hence self-adjoint: the adjoint used by
-    the control law coincides with the operator itself.
-    """
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    if u.truncation != m.truncation:
-        raise ModelValidationError(
-            f"state truncation {u.truncation} != model truncation {m.truncation}")
-    return SpectralState(m.t_alpha_factors(t) * u.coeffs)
-
-
-def apply_state_multiplier(m: ModelSpec, i: int, u: SpectralState) -> SpectralState:
-    if not (0 <= i < m.state_delay_count):
-        raise DomainError(f"state channel {i} outside 0..{m.state_delay_count - 1}")
-    return SpectralState(m.state_multipliers[i] * u.coeffs)
-
-
-def apply_control_multiplier(m: ModelSpec, j: int, u: SpectralState) -> SpectralState:
-    if not (0 <= j < m.control_delay_count):
-        raise DomainError(f"control channel {j} outside 0..{m.control_delay_count - 1}")
-    return SpectralState(m.control_multipliers[j] * u.coeffs)
 
 
 def synthesize_physical(u: SpectralState, x_grid) -> np.ndarray:

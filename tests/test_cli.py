@@ -4,12 +4,16 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import fracsteer
 from fracsteer.cli import main
+from fracsteer.config import parse_config
+
+SRC = os.path.dirname(os.path.dirname(fracsteer.__file__))
 
 SMALL = """
 [model]
@@ -204,6 +208,55 @@ class TestOutputSelection:
         assert os.path.exists(os.path.join(flag_dir, "simulate.csv"))
 
 
+def _run_cli(*args):
+    """The CLI in a fresh interpreter: (exit status, stdout + stderr)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-m", "fracsteer.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout + done.stderr
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--steps", "4", "n_steps"),
+        ("--beta", "0.01,0.1", "betas"),
+        ("--beta", "0.1,abc", "betas"),
+    ])
+    def test_bad_override_exits_2(self, tmp_path, flag, value, key):
+        status, output = _run_cli("--out", str(tmp_path), flag, value, "simulate")
+        assert status == 2
+        assert key in output
+        assert "Traceback" not in output
+
+    def test_bad_config_exits_2(self, tmp_path):
+        cfg = _cfg_file(tmp_path, SMALL.replace("alpha = 0.6", "alpha = 2"))
+        status, output = _run_cli("--config", cfg, "--out", str(tmp_path), "simulate")
+        assert status == 2
+        assert f"{cfg}: [model]: fractional order must lie in (0, 1], got 2.0" in output
+        assert "Traceback" not in output
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe[model]\n"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, content):
+        path = tmp_path / "exp.cfg"
+        if content is not None:
+            path.write_bytes(content)
+        status, output = _run_cli("--config", str(path), "simulate")
+        assert status == 2
+        assert str(path) in output
+        assert "Traceback" not in output
+
+    def test_override_enters_digest(self, tmp_path):
+        shipped = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
+        assert "n_steps = 128\n" in shipped
+        expect = parse_config(shipped.replace("n_steps = 128\n", "n_steps = 16\n"))
+        status, output = _run_cli("--out", str(tmp_path), "--steps", "16", "simulate")
+        assert status == 0, output
+        meta, _, rows = _read_csv(os.path.join(tmp_path, "simulate.csv"))
+        assert meta["config_sha256"] == expect.digest()
+        assert meta["config_sha256"] != parse_config(shipped).digest()
+        assert len(rows) == 17
+
+
 class TestImports:
     def test_parsing_leaves_quadrature_unimported(self):
         code = ("import sys\n"
@@ -213,8 +266,7 @@ class TestImports:
                 "parse_config((resources.files('fracsteer') / 'data'"
                 " / 'default.cfg').read_text())\n"
                 "print('scipy.integrate' in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(fracsteer.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60,
                               check=True)

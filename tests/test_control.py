@@ -49,7 +49,6 @@ class TestGrammian:
         g1 = compute_grammian(m1, 128)
         g2 = compute_grammian(m2, 128)
         assert np.allclose(g2.diagonal, 2.0 * g1.diagonal, rtol=1e-14)
-        assert len(g2.channel_diagonals) == 2
 
     def test_requires_control_channel(self):
         m = ModelSpec(truncation=1, alpha=0.5, horizon=1.0,
@@ -115,7 +114,7 @@ class TestResidualP:
         m = _model(n=2, alpha=0.6, lam=[1.0, 4.0], u0=[1.0, -0.5])
         traj = picard_solve(m, SolverConfig(n_steps=64))
         cp = ControlProblem(model=m, target=traj.state_at(64), beta=0.1)
-        assert residual_p(cp, traj).norm() < 1e-9
+        assert np.linalg.norm(residual_p(cp, traj).coeffs) < 1e-9
 
 
 class TestSynthesis:

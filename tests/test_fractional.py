@@ -8,9 +8,8 @@ import pytest
 from fracsteer.errors import (DomainError, GridMismatchError,
                               InsufficientDataError)
 from fracsteer.fractional import (FracOrder, SampledFunction,
-                                  build_singular_weights, caputo_derivative,
-                                  convolution_kernel, frac_integral,
-                                  rl_derivative)
+                                  build_singular_weights, convolution_kernel,
+                                  frac_integral)
 from fracsteer.gammafn import gamma
 
 
@@ -125,60 +124,3 @@ class TestFracIntegral:
             errs.append(abs(nested - direct))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.0
-
-
-class TestDerivatives:
-    def test_rl_of_constant(self):
-        f = _sampled(lambda t: np.ones_like(t), n=512)
-        # ^L D^{1/2} 1 = t^{-1/2} / Gamma(1/2)
-        assert rl_derivative(f, 0.5, 1.0) == pytest.approx(
-            1.0 / gamma(0.5), rel=1e-3)
-
-    def test_rl_alpha_one_classical(self):
-        f = _sampled(lambda t: t, n=64)
-        assert rl_derivative(f, 1.0, 0.5) == pytest.approx(1.0, rel=1e-10)
-
-    def test_rl_of_linear_half_order(self):
-        f = _sampled(lambda t: t, n=512)
-        # ^L D^{1/2} t = t^{1/2} Gamma(2)/Gamma(1.5)
-        assert rl_derivative(f, 0.5, 1.0) == pytest.approx(
-            gamma(2.0) / gamma(1.5), rel=1e-3)
-
-    def test_too_few_samples(self):
-        f = SampledFunction(0.0, 0.5, np.array([0.0, 1.0]))
-        with pytest.raises(InsufficientDataError):
-            rl_derivative(f, 0.5, 0.5)
-
-    def test_caputo_kills_constants(self):
-        for a in (0.3, 0.5, 0.9):
-            f = _sampled(lambda t: 4.2 * np.ones_like(t), n=128)
-            assert abs(caputo_derivative(f, a, 1.0)) < 1e-10
-
-    def test_caputo_of_linear(self):
-        f = _sampled(lambda t: t, n=512)
-        # ^C D^{1/2} t = t^{1/2}/Gamma(1.5)
-        assert caputo_derivative(f, 0.5, 1.0) == pytest.approx(
-            1.0 / gamma(1.5), rel=1e-3)
-
-    def test_caputo_alpha_one_classical(self):
-        f = _sampled(lambda t: t ** 2, n=256)
-        assert caputo_derivative(f, 1.0, 1.0) == pytest.approx(2.0, rel=1e-4)
-
-    def test_caputo_rl_relation(self):
-        # ^C D^a f = ^L D^a f - f(0) t^{-a}/Gamma(1-a)
-        a, t = 0.6, 1.0
-        f = _sampled(lambda s: np.cos(s) + 2.0, n=512)
-        lhs = caputo_derivative(f, a, t)
-        rhs = rl_derivative(f, a, t) - f.values[0] * t ** (-a) / gamma(1.0 - a)
-        assert lhs == pytest.approx(rhs, rel=1e-5, abs=1e-5)
-
-    def test_caputo_inverts_frac_integral(self):
-        # ^C D^a (I^a f) = f for f with f-behaviour mild at 0
-        a, n = 0.5, 1024
-        f = _sampled(lambda t: 1.0 + 0.5 * t, n=n)
-        grid = f.grid()
-        integ = np.zeros(n + 1)
-        for m in range(1, n + 1):
-            integ[m] = frac_integral(f, a, grid[m])
-        got = caputo_derivative(SampledFunction(0.0, f.dt, integ), a, 0.5)
-        assert got == pytest.approx(1.25, rel=2e-2)

@@ -8,9 +8,11 @@ import pytest
 from fracsteer.errors import (DomainError, GridMismatchError,
                               PicardDivergenceError)
 from fracsteer.gammafn import gamma
-from fracsteer.solver import (SolverConfig, Trajectory, eval_delayed_state,
-                              mild_residual, nonlocal_offset,
-                              nonlocal_offset_factor, picard_solve)
+from fracsteer.solver import (SolverConfig, Trajectory, _interp_rows,
+                              _interp_stencil, _nonlinearity_rows,
+                              build_grid_operators, mild_residual,
+                              nonlocal_offset_factor, nonlocal_offsets,
+                              picard_solve)
 from fracsteer.special import ml
 from fracsteer.spectral import DelayFn, ModelSpec, NonlinearityFn, SpectralState
 
@@ -47,12 +49,12 @@ class TestTrajectory:
             Trajectory(0.1, np.zeros((5, 3)), controls=(np.zeros((4, 3)),))
 
     def test_interp(self):
-        tr = Trajectory(0.5, np.array([[0.0], [1.0], [4.0]]))
-        assert tr.interp(0.25)[0] == pytest.approx(0.5)
-        assert tr.interp(0.75)[0] == pytest.approx(2.5)
-        assert tr.interp(1.0)[0] == pytest.approx(4.0)
-        with pytest.raises(GridMismatchError):
-            tr.interp(1.5)
+        # the stencils that sample delayed states and controls
+        states = np.array([[0.0], [1.0], [4.0]])
+        lo, w = _interp_stencil(0.5, 2, [0.25, 0.75, 1.0, 1.5])
+        got = _interp_rows(states, lo, w)[:, 0]
+        assert got[:3] == pytest.approx([0.5, 2.5, 4.0])
+        assert got[3] == 4.0  # clipped to the last node
 
     def test_properties(self):
         tr = _const_traj([1.0, 2.0], n_steps=10)
@@ -65,50 +67,47 @@ class TestTrajectory:
 class TestNonlocalOffset:
     def test_no_terms_gives_initial_data(self):
         m = _model(u0=[1.0, -2.0])
-        tr = _const_traj([5.0, 5.0])
-        off = nonlocal_offset(m, tr, 0.5)
-        assert np.allclose(off.coeffs, [1.0, -2.0])
+        states = np.full((17, 2), 5.0)
+        off = nonlocal_offsets(m, states, 1.0 / 16, nonlocal_offset_factor(0.5, 0.5))
+        assert np.array_equal(off, [1.0, -2.0])
+        rows = nonlocal_offsets(m, states, 1.0 / 16, np.linspace(0.0, 1.0, 17))
+        assert rows.shape == (17, 2)
+        assert np.all(rows == [1.0, -2.0])
 
     def test_constant_trajectory(self):
         # offset = u0 + v0 + t^{1-a}/Gamma(2-a) * sum_k c_k u(t_k)
         m = _model(u0=[1.0, 0.0], nonlocal_terms=((0.1, 0.25), (0.05, 0.5)))
-        tr = _const_traj([2.0, -4.0])
+        states = np.tile([2.0, -4.0], (17, 1))
         fac = nonlocal_offset_factor(0.5, 1.0)
         assert fac == pytest.approx(1.0 / gamma(1.5), rel=1e-14)
-        off = nonlocal_offset(m, tr, 1.0)
-        assert np.allclose(off.coeffs,
-                           [1.0 + fac * 0.15 * 2.0, fac * 0.15 * (-4.0)])
+        off = nonlocal_offsets(m, states, 1.0 / 16, fac)
+        assert np.allclose(off, [1.0 + fac * 0.15 * 2.0, fac * 0.15 * (-4.0)])
+        facs = np.array([0.0, 0.5, fac])
+        rows = nonlocal_offsets(m, states, 1.0 / 16, facs)
+        assert np.array_equal(rows[2], off)
+        assert np.array_equal(rows[0], [1.0, 0.0])
 
     def test_classical_factor_is_one(self):
         assert nonlocal_offset_factor(1.0, 0.37) == 1.0
 
-    def test_off_grid_time_rejected(self):
-        m = _model(u0=[1.0, 0.0])
-        with pytest.raises(GridMismatchError):
-            nonlocal_offset(m, _const_traj([0.0, 0.0]), 0.51234)
-
 
 class TestDelayedState:
+    # linear_feedback(1) passes the delayed, multiplied state through F
+    def _rows(self, delay, mult):
+        m = _model(state_delays=(delay,), state_multipliers=(np.asarray(mult),),
+                   nonlinearity=NonlinearityFn("linear_feedback", 1.0))
+        states = np.outer(np.arange(5.0), [1.0, 1.0])
+        return _nonlinearity_rows(m, build_grid_operators(m, 4), states), states
+
     def test_identity_delay_on_grid(self):
-        m = _model(state_delays=(DelayFn("identity"),),
-                   state_multipliers=(np.array([2.0, 3.0]),))
-        tr = Trajectory(0.25, np.outer(np.arange(5.0), [1.0, 1.0]))
-        got = eval_delayed_state(m, tr, 0, 0.5)
-        assert np.allclose(got.coeffs, [4.0, 6.0])
+        rows, states = self._rows(DelayFn("identity"), [2.0, 3.0])
+        assert np.array_equal(rows[2], [4.0, 6.0])
+        assert np.array_equal(rows, states * [2.0, 3.0])
 
     def test_sine_delay_interpolates(self):
-        m = _model(state_delays=(DelayFn("scaled_sine", 1.0),),
-                   state_multipliers=(np.ones(2),))
-        tr = Trajectory(0.25, np.outer(np.arange(5.0), [1.0, 1.0]))
-        got = eval_delayed_state(m, tr, 0, 1.0)
+        rows, _ = self._rows(DelayFn("scaled_sine", 1.0), [1.0, 1.0])
         # states are linear in t, so interpolation at sin(1) is exact
-        assert np.allclose(got.coeffs, 4.0 * math.sin(1.0))
-
-    def test_channel_bounds(self):
-        m = _model(state_delays=(DelayFn("identity"),),
-                   state_multipliers=(np.ones(2),))
-        with pytest.raises(DomainError):
-            eval_delayed_state(m, _const_traj([0.0, 0.0]), 1, 0.5)
+        assert np.allclose(rows[4], 4.0 * math.sin(1.0))
 
 
 class TestPicard:

@@ -9,9 +9,9 @@ import pytest
 from fracsteer import special
 from fracsteer.errors import DomainError
 from fracsteer.gammafn import gamma, rgamma
-from fracsteer.special import (MittagLefflerParams, _wright_integral,
+from fracsteer.special import (ML_NEG_Z_LIMIT, _wright_integral,
                                _wright_series_double, ml, ml_array,
-                               mittag_leffler, s_alpha_route_quadrature,
+                               s_alpha_route_quadrature,
                                t_alpha_route_quadrature, underflow_cutoff,
                                wright_moment, wright_pdf)
 
@@ -85,12 +85,14 @@ class TestDensity:
 
 class TestMittagLeffler:
     def test_params_validation(self):
-        with pytest.raises(DomainError):
-            MittagLefflerParams(0.0, 1.0, -1.0)
-        with pytest.raises(DomainError):
-            MittagLefflerParams(1.5, 1.0, -1.0)
-        with pytest.raises(DomainError):
-            MittagLefflerParams(0.5, 0.0, -1.0)
+        for a, b, z in ((0.0, 1.0, -1.0), (1.5, 1.0, -1.0), (0.5, 0.0, -1.0),
+                        (0.5, 1.0, 5.5), (0.5, 1.0, -1.01 * ML_NEG_Z_LIMIT)):
+            with pytest.raises(DomainError):
+                ml(a, b, z)
+        with pytest.raises(DomainError, match=r"\[-10000, 5\]"):
+            ml(0.5, 1.0, 6.0)
+        assert ml(0.5, 1.0, 5.0) > 0.0
+        assert math.isfinite(ml(0.5, 1.0, -ML_NEG_Z_LIMIT))
 
     def test_exponential_case(self):
         for z in (-3.0, -1.0, 0.5, 1.0, 2.0):

@@ -1,4 +1,4 @@
-"""Spectral model: operator families, multipliers, hypothesis checks."""
+"""Spectral model: eigenfactor tables, multipliers, hypothesis checks."""
 
 import math
 
@@ -11,9 +11,7 @@ from fracsteer.gammafn import gamma
 from fracsteer.solver import _nonlinearity_rows, build_grid_operators
 from fracsteer.special import ml
 from fracsteer.spectral import (DelayFn, ModelSpec, NonlinearityFn,
-                                SpectralState, apply_S_alpha, apply_T_alpha,
-                                apply_control_multiplier, apply_semigroup,
-                                apply_state_multiplier, synthesize_physical)
+                                SpectralState, synthesize_physical)
 
 
 def _model(n=2, alpha=1.0, **kw):
@@ -23,11 +21,12 @@ def _model(n=2, alpha=1.0, **kw):
 
 
 class TestSpectralState:
-    def test_norm_and_zero(self):
+    def test_truncation_and_zero(self):
         u = SpectralState(np.array([3.0, 4.0]))
         assert u.truncation == 2
-        assert u.norm() == pytest.approx(5.0)
         assert np.all(SpectralState.zero(3).coeffs == 0.0)
+        with pytest.raises(DomainError):
+            SpectralState(np.array([1.0, math.nan]))
 
 
 class TestDelayFn:
@@ -109,42 +108,35 @@ class TestModelValidation:
 
 class TestOperatorFamilies:
     def test_semigroup_example(self):
-        m = _model(n=2)
-        u = apply_semigroup(m, 1.0, SpectralState(np.ones(2)))
-        assert u.coeffs[0] == pytest.approx(0.36787944117144233, rel=1e-12)
-        assert u.coeffs[1] == pytest.approx(0.018315638888734179, rel=1e-12)
+        # at alpha = 1 the S_alpha factors are the heat semigroup e^{-lambda t}
+        f = _model(n=2).s_alpha_factors(1.0)
+        assert f[0] == pytest.approx(0.36787944117144233, rel=1e-12)
+        assert f[1] == pytest.approx(0.018315638888734179, rel=1e-12)
 
     def test_semigroup_law(self):
         m = _model(n=5)
-        u = SpectralState(np.array([1.0, -0.5, 0.3, 0.2, -0.1]))
-        two_step = apply_semigroup(m, 0.4, apply_semigroup(m, 0.35, u))
-        one_step = apply_semigroup(m, 0.75, u)
-        assert np.allclose(two_step.coeffs, one_step.coeffs,
+        two_step = m.s_alpha_factors(0.4) * m.s_alpha_factors(0.35)
+        assert np.allclose(two_step, m.s_alpha_factors(0.75),
                            rtol=1e-12, atol=1e-15)
 
     def test_identity_at_time_zero(self):
         m = _model(n=3, alpha=0.6)
-        u = SpectralState(np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(apply_S_alpha(m, 0.0, u).coeffs, u.coeffs)
-        assert np.allclose(apply_T_alpha(m, 0.0, u).coeffs,
-                           u.coeffs / gamma(0.6))
+        assert np.all(m.s_alpha_factors(0.0) == 1.0)
+        assert np.all(m.t_alpha_factors(0.0) == 1.0 / gamma(0.6))
 
     def test_classical_limit_collapse(self):
         # at alpha = 1 both fractional families equal the semigroup
         m = _model(n=4, alpha=1.0)
-        u = SpectralState(np.array([0.7, -0.2, 0.1, 0.4]))
-        for t in (0.1, 0.5, 1.0):
-            q = apply_semigroup(m, t, u).coeffs
-            assert np.allclose(apply_S_alpha(m, t, u).coeffs, q,
-                               rtol=1e-12, atol=1e-15)
-            assert np.allclose(apply_T_alpha(m, t, u).coeffs, q,
-                               rtol=1e-12, atol=1e-15)
+        times = np.array([0.1, 0.5, 1.0])
+        q = np.exp(-np.outer(times, m.eigenvalues))
+        for table in (m.s_alpha_factors(times), m.t_alpha_factors(times)):
+            assert np.allclose(table, q, rtol=1e-12, atol=1e-15)
 
     def test_half_order_factor(self):
         m = _model(n=1, alpha=0.5, eigenvalues=[1.0])
-        u = apply_S_alpha(m, 1.0, SpectralState(np.ones(1)))
         # E_{1/2,1}(-1) = e * erfc(1)
-        assert u.coeffs[0] == pytest.approx(math.e * math.erfc(1.0), rel=1e-9)
+        assert m.s_alpha_factors(1.0)[0] == pytest.approx(
+            math.e * math.erfc(1.0), rel=1e-9)
 
     def test_uniform_bounds(self):
         for a in (0.4, 0.7, 1.0):
@@ -154,15 +146,9 @@ class TestOperatorFamilies:
                 assert np.all(np.abs(m.t_alpha_factors(t))
                               <= 1.0 / gamma(a) + 1e-14)
 
-    def test_negative_time_rejected(self):
-        m = _model(n=2)
-        with pytest.raises(DomainError):
-            apply_semigroup(m, -0.1, SpectralState(np.ones(2)))
-
     def test_truncation_mismatch_rejected(self):
-        m = _model(n=2)
         with pytest.raises(ModelValidationError):
-            apply_S_alpha(m, 0.5, SpectralState(np.ones(3)))
+            _model(n=2, u0=SpectralState(np.ones(3)))
 
 
 class TestFactorTables:
@@ -205,23 +191,17 @@ class TestFactorTables:
 class TestMultipliers:
     def test_laplacian_default_state_multiplier(self):
         m = _model(n=3, state_delays=(DelayFn("identity"),))
-        u = apply_state_multiplier(m, 0, SpectralState(np.ones(3)))
-        assert np.allclose(u.coeffs, [-1.0, -4.0, -9.0])
+        assert np.array_equal(m.state_multipliers[0], [-1.0, -4.0, -9.0])
 
     def test_control_multiplier_and_bounds(self):
-        m = _model(n=2, control_delays=(DelayFn("identity"),),
-                   control_multipliers=([2.0, 3.0],))
-        u = apply_control_multiplier(m, 0, SpectralState(np.array([1.0, 1.0])))
-        assert np.allclose(u.coeffs, [2.0, 3.0])
-        with pytest.raises(DomainError):
-            apply_control_multiplier(m, 1, u)
-
-    def test_multiplier_commutes_with_semigroup(self):
-        m = _model(n=3, alpha=0.7, state_delays=(DelayFn("identity"),))
-        u = SpectralState(np.array([0.2, -0.4, 0.6]))
-        ab = apply_state_multiplier(m, 0, apply_T_alpha(m, 0.3, u))
-        ba = apply_T_alpha(m, 0.3, apply_state_multiplier(m, 0, u))
-        assert np.allclose(ab.coeffs, ba.coeffs, rtol=0.0, atol=1e-16)
+        m = _model(n=2, control_delays=(DelayFn("identity"),) * 2,
+                   control_multipliers=([2.0, 3.0], [1.0, -1.0]))
+        assert np.array_equal(m.control_multipliers[0], [2.0, 3.0])
+        default = _model(n=2, control_delays=(DelayFn("identity"),))
+        assert np.array_equal(default.control_multipliers[0], [1.0, 1.0])
+        with pytest.raises(ModelValidationError):
+            _model(n=2, control_delays=(DelayFn("identity"),),
+                   control_multipliers=([1.0, 2.0, 3.0],))
 
 
 class TestPhysicalSynthesis:
@@ -238,4 +218,4 @@ class TestPhysicalSynthesis:
         x = np.linspace(0.0, math.pi, 20001)
         vals = synthesize_physical(u, x)
         l2 = np.sqrt(np.trapezoid(vals ** 2, x))
-        assert l2 == pytest.approx(u.norm(), rel=1e-4)
+        assert l2 == pytest.approx(np.linalg.norm(u.coeffs), rel=1e-4)
