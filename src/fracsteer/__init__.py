@@ -2,14 +2,13 @@
 
 from .backend import BACKEND_NAME
 from .config import ExperimentConfig, parse_config, synthesize_shape
-from .control import (ControlProblem, Grammian, SweepReport, beta_sweep,
+from .control import (ControlProblem, SweepReport, beta_sweep,
                       closed_loop_solve, compute_grammian, control_energy,
                       residual_p, resolvent_apply, synthesize_control)
 from .errors import (ConfigError, DomainError, GridMismatchError,
                      InsufficientDataError, ModelValidationError,
                      OuterLoopDivergenceError, PicardDivergenceError)
-from .fractional import (ConvolutionKernel, FracOrder, SampledFunction,
-                         SingularWeights, build_singular_weights,
+from .fractional import (ConvolutionKernel, SampledFunction,
                          convolution_kernel, frac_integral)
 from .solver import (SolverConfig, Trajectory, mild_residual,
                      nonlocal_offsets, picard_solve)

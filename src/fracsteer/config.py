@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ModelValidationError
-from .solver import SolverConfig
+from .solver import SolverConfig, time_grid
 from .special import ML_NEG_Z_LIMIT
 from .spectral import DelayFn, ModelSpec, NonlinearityFn, SpectralState
 
@@ -318,16 +318,6 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
         raise ConfigError(f"[model]: {exc}{hint}") from None
     except DomainError as exc:
         raise ConfigError(f"[model]: {exc}") from None
-    # the stiffest eigenfactor argument, -lambda_max horizon^alpha, must
-    # stay inside the range the Mittag-Leffler routes are validated for
-    z_min = -float(np.max(spec.eigenvalues)) * spec.horizon ** spec.alpha
-    if z_min < -ML_NEG_Z_LIMIT:
-        key = "truncation" if eigenvalues is None else "eigenvalues"
-        raise ConfigError(
-            f"[model] {key}: the stiffest mode reaches z = {z_min:g}, beyond "
-            f"the supported Mittag-Leffler range z >= {-ML_NEG_Z_LIMIT:g}",
-            line=model.line(key))
-
     try:
         solver_cfg = SolverConfig(
             n_steps=solver.number("n_steps", int, default=128),
@@ -335,6 +325,17 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
             picard_max_iters=solver.number("picard_max_iters", int, default=200))
     except DomainError as exc:
         raise ConfigError(f"[solver]: {exc}") from None
+    # the stiffest eigenfactor argument, -lambda_max t^alpha, must stay in
+    # the validated Mittag-Leffler range at the largest time evaluated: the
+    # horizon (steering law) or the last grid node, which can round past it
+    t_max = max(spec.horizon, time_grid(spec.horizon, solver_cfg.n_steps)[1][-1])
+    z_min = -float(np.max(spec.eigenvalues)) * t_max ** spec.alpha
+    if z_min < -ML_NEG_Z_LIMIT:
+        key = "truncation" if eigenvalues is None else "eigenvalues"
+        raise ConfigError(
+            f"[model] {key}: the stiffest mode reaches z = {z_min!r}, beyond "
+            f"the supported Mittag-Leffler range z >= {-ML_NEG_Z_LIMIT:g}",
+            line=model.line(key))
 
     target = item(control, "target",
                   lambda s: SpectralState(synthesize_shape(s, n)),

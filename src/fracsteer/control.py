@@ -20,16 +20,6 @@ from .spectral import ModelSpec, SpectralState
 
 
 @dataclass(frozen=True)
-class Grammian:
-    """Diagonal control-influence operator on the truncated space."""
-
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "diagonal", np.asarray(self.diagonal, dtype=float))
-
-
-@dataclass(frozen=True)
 class ControlProblem:
     model: ModelSpec
     target: SpectralState
@@ -66,8 +56,9 @@ class SweepReport:
             raise DomainError("sweep report columns have mismatched lengths")
 
 
-def compute_grammian(m: ModelSpec, n_steps: int) -> Grammian:
-    """Per-mode gamma_n = (sum_j b_jn^2) int_0^a (a-s)^{a-1} E_aa(...)^2 ds."""
+def compute_grammian(m: ModelSpec, n_steps: int) -> np.ndarray:
+    """Diagonal of the control-influence operator, per mode
+    gamma_n = (sum_j b_jn^2) int_0^a (a-s)^{a-1} E_aa(...)^2 ds."""
     if m.control_delay_count < 1:
         raise ModelValidationError("the model has no control channel")
     ops = build_grid_operators(m, n_steps)
@@ -77,16 +68,16 @@ def compute_grammian(m: ModelSpec, n_steps: int) -> Grammian:
     w_by_lag[1:n_steps] = ops.lag[1:n_steps]
     w_by_lag[n_steps] = ops.first[n_steps]
     base = np.einsum("j,jm,jm->m", w_by_lag, ops.efac_mem, ops.t_factors)
-    return Grammian(np.sum([b * b * base for b in m.control_multipliers], axis=0))
+    return np.sum([b * b * base for b in m.control_multipliers], axis=0)
 
 
-def resolvent_apply(g: Grammian, beta: float, v: SpectralState) -> SpectralState:
-    """(beta I + Gamma)^{-1} v, per-mode for the diagonal Grammian."""
+def resolvent_apply(g: np.ndarray, beta: float, v: SpectralState) -> SpectralState:
+    """(beta I + Gamma)^{-1} v for the Grammian diagonal ``g``."""
     if beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if not np.all(np.isfinite(v.coeffs)):
         raise DomainError("resolvent input has non-finite entries")
-    return SpectralState(v.coeffs / (beta + g.diagonal))
+    return SpectralState(v.coeffs / (beta + g))
 
 
 def residual_p(cp: ControlProblem, traj: Trajectory) -> SpectralState:

@@ -12,7 +12,7 @@ a lag-only convolution kernel for the interior nodes, and a constant
 last-node edge weight; ``ConvolutionKernel`` stores that decomposition.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +22,12 @@ from .gammafn import gamma
 _GRID_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional order restricted to the working range (0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"fractional order must lie in (0, 1], got {self.alpha}")
-
-
 def _as_alpha(order) -> float:
-    if isinstance(order, FracOrder):
-        return order.alpha
-    return FracOrder(float(order)).alpha
+    """The fractional order as a float, checked to lie in (0, 1]."""
+    alpha = float(order)
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError(f"fractional order must lie in (0, 1], got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -57,9 +48,6 @@ class SampledFunction:
     @property
     def n_steps(self) -> int:
         return self.values.size - 1
-
-    def grid(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.values.size)
 
     def index_of(self, t: float) -> int:
         """Grid index of t, or GridMismatchError if t is off-grid."""
@@ -84,8 +72,6 @@ class ConvolutionKernel:
     exactly against piecewise-linear hat functions (no 1/Gamma factor).
     """
 
-    alpha: float
-    dt: float
     n_steps: int
     first_node: np.ndarray
     lag: np.ndarray
@@ -126,30 +112,7 @@ def convolution_kernel(order, n_steps: int, dt: float) -> ConvolutionKernel:
     lag[0] = 0.0
     lag[1:] = scale * (g_left[:n_steps] + g_right[1:n_steps + 1])
     last = scale * g_right[0]
-    return ConvolutionKernel(alpha, dt, n_steps, first, lag, last)
-
-
-@dataclass(frozen=True)
-class SingularWeights:
-    """Product-trapezoidal weights for one target time t = n_steps * dt."""
-
-    alpha: FracOrder
-    n_steps: int
-    dt: float
-    weights: np.ndarray = field(repr=False)
-
-    def apply(self, values: np.ndarray) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.size != self.n_steps + 1:
-            raise InsufficientDataError(
-                f"need {self.n_steps + 1} samples, got {values.size}")
-        return float(self.weights @ values)
-
-
-def build_singular_weights(order, n_steps: int, dt: float) -> SingularWeights:
-    """Weights w_k with sum_k w_k f(s_k) ~= int_0^t (t-s)^(a-1) f(s) ds, t = n dt."""
-    kern = convolution_kernel(order, n_steps, dt)
-    return SingularWeights(FracOrder(kern.alpha), n_steps, dt, kern.row(n_steps))
+    return ConvolutionKernel(n_steps, first, lag, last)
 
 
 def frac_integral(f: SampledFunction, order, t: float) -> float:
@@ -158,5 +121,5 @@ def frac_integral(f: SampledFunction, order, t: float) -> float:
     m = f.index_of(t)
     if m < 1:
         raise GridMismatchError(f"t={t} must exceed the grid origin {f.t0}")
-    w = build_singular_weights(alpha, m, f.dt)
-    return w.apply(f.values[:m + 1]) / gamma(alpha)
+    w = convolution_kernel(alpha, m, f.dt).row(m)
+    return float(w @ f.values[:m + 1]) / gamma(alpha)

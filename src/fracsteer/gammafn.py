@@ -1,4 +1,4 @@
-"""Gamma function via the Lanczos approximation.
+"""Gamma function via the Lanczos approximation (Stirling's series past 140).
 
 Every gamma evaluation in the library goes through this module so the
 accuracy of the approximation is audited in one place (relative error
@@ -41,6 +41,12 @@ def gamma(x: float) -> float:
     if x < 0.5:
         # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
         return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
+    if x > 140.0:
+        # Stirling's series, its power split to stay finite up to x ~ 171.6;
+        # the Lanczos power below overflows from x ~ 142
+        p = x ** (0.5 * x - 0.25)
+        corr = 1.0 / (12.0 * x) - 1.0 / (360.0 * x ** 3) + 1.0 / (1260.0 * x ** 5)
+        return _SQRT_TWO_PI * p * math.exp(-x) * p * math.exp(corr)
     z = x - 1.0
     s = _lanczos_series(z)
     t = z + _LANCZOS_G + 0.5
@@ -64,6 +70,7 @@ def rgamma(x: float) -> float:
     if x <= 0.0 and x == math.floor(x):
         return 0.0
     if x > 0.0:
-        return 1.0 / gamma(x) if x < 170.0 else math.exp(-log_gamma(x))
+        # past x ~ 171.6 Gamma overflows and 1/Gamma is subnormal
+        return 1.0 / gamma(x) if x < 171.5 else math.exp(-log_gamma(x))
     # x < 0 non-integer: 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi
     return math.sin(math.pi * x) * gamma(1.0 - x) / math.pi

@@ -44,27 +44,23 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Grid-sampled states plus the realized delayed-control forcing.
-
-    ``states`` has one row per grid node; ``controls`` holds one array
-    per control channel with the realized samples B_j mu_j(sigma_j(t)).
-    """
+    """Grid-sampled states (one row per node) and, on the same rows, the
+    realized delayed-control forcing sum_j B_j mu_j(sigma_j(t))."""
 
     dt: float
     states: np.ndarray
-    controls: tuple = ()
+    forcing: np.ndarray
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=float)
         if s.ndim != 2 or s.shape[0] < 2:
             raise DomainError("trajectory needs at least 2 grid rows")
+        f = np.asarray(self.forcing, dtype=float)
+        if f.shape != s.shape:
+            raise GridMismatchError(
+                f"forcing shape {f.shape} != state shape {s.shape}")
         object.__setattr__(self, "states", s)
-        object.__setattr__(self, "controls",
-                           tuple(np.asarray(c, dtype=float) for c in self.controls))
-        for c in self.controls:
-            if c.shape != s.shape:
-                raise GridMismatchError(
-                    f"control shape {c.shape} != state shape {s.shape}")
+        object.__setattr__(self, "forcing", f)
 
     @property
     def n_steps(self) -> int:
@@ -83,11 +79,6 @@ class Trajectory:
 
     def state_at(self, k: int) -> SpectralState:
         return SpectralState(self.states[k])
-
-    def total_forcing(self) -> np.ndarray:
-        if not self.controls:
-            return np.zeros_like(self.states)
-        return np.sum(self.controls, axis=0)
 
 
 def _interp_stencil(dt: float, n: int, times) -> tuple:
@@ -148,9 +139,14 @@ class _GridOperators:
     control_stencils: tuple     # per control channel: (lo, w)
 
 
+def time_grid(horizon: float, n_steps: int):
+    """(dt, node times dt * k); the last node can round up past horizon."""
+    dt = horizon / n_steps
+    return dt, dt * np.arange(n_steps + 1)
+
+
 def build_grid_operators(m: ModelSpec, n_steps: int) -> _GridOperators:
-    dt = m.horizon / n_steps
-    times = dt * np.arange(n_steps + 1)
+    dt, times = time_grid(m.horizon, n_steps)
     s_fac = m.s_alpha_factors(times)
     t_fac = m.t_alpha_factors(times)
     kern = convolution_kernel(m.alpha, n_steps, dt)
@@ -214,10 +210,11 @@ def _nonlinearity_rows(m: ModelSpec, ops: _GridOperators, states: np.ndarray) ->
     return out
 
 
-def realize_controls(m: ModelSpec, ops: _GridOperators, control) -> tuple:
-    """Per-channel realized forcing rows B_j mu_j(sigma_j(t_k))."""
+def realize_controls(m: ModelSpec, ops: _GridOperators, control) -> np.ndarray:
+    """Realized forcing rows sum_j B_j mu_j(sigma_j(t_k)); zero for None."""
+    shape = (len(ops.offset_factors), m.truncation)
     if control is None:
-        return ()
+        return np.zeros(shape)
     if len(control) != m.control_delay_count:
         raise ModelValidationError(
             f"{len(control)} control channels given, model has {m.control_delay_count}")
@@ -225,11 +222,11 @@ def realize_controls(m: ModelSpec, ops: _GridOperators, control) -> tuple:
     for mult, samples, (lo, w) in zip(m.control_multipliers, control,
                                       ops.control_stencils):
         mu = np.asarray(samples, dtype=float)
-        if mu.shape != (len(ops.offset_factors), m.truncation):
+        if mu.shape != shape:
             raise GridMismatchError(
                 f"control sample shape {mu.shape} does not match the grid")
         realized.append(mult[None, :] * _interp_rows(mu, lo, w))
-    return tuple(realized)
+    return np.sum(realized, axis=0) if realized else np.zeros(shape)
 
 
 def _picard_sweep(m, ops, states, forcing):
@@ -248,9 +245,7 @@ def picard_solve(m: ModelSpec, cfg: SolverConfig, control=None) -> Trajectory:
     the delayed times.
     """
     ops = build_grid_operators(m, cfg.n_steps)
-    realized = realize_controls(m, ops, control)
-    forcing = (np.sum(realized, axis=0) if realized
-               else np.zeros((cfg.n_steps + 1, m.truncation)))
+    forcing = realize_controls(m, ops, control)
     base = m.u0.coeffs + m.v0.coeffs
     states = ops.s_factors * base[None, :]
     history = []
@@ -260,7 +255,7 @@ def picard_solve(m: ModelSpec, cfg: SolverConfig, control=None) -> Trajectory:
         history.append(diff)
         states = new
         if diff < cfg.picard_tol:
-            return Trajectory(ops.dt, states, realized)
+            return Trajectory(ops.dt, states, forcing)
     raise PicardDivergenceError(
         f"no contraction after {cfg.picard_max_iters} iterations "
         f"(last change {history[-1]:.3e})", residual_history=history)
@@ -269,6 +264,5 @@ def picard_solve(m: ModelSpec, cfg: SolverConfig, control=None) -> Trajectory:
 def mild_residual(m: ModelSpec, traj: Trajectory) -> float:
     """Sup-norm defect of the trajectory under one more map application."""
     ops = build_grid_operators(m, traj.n_steps)
-    forcing = traj.total_forcing()
-    new = _picard_sweep(m, ops, traj.states, forcing)
+    new = _picard_sweep(m, ops, traj.states, traj.forcing)
     return float(np.max(np.linalg.norm(new - traj.states, axis=1)))

@@ -133,20 +133,15 @@ def _wright_integral(alpha: float, theta: float) -> float:
     return theta ** ratio * val / (one * math.pi)
 
 
-def wright_pdf(alpha, theta: float, cutoff: float = None) -> float:
-    """Density zeta_alpha(theta) on (0, infinity).
-
-    ``cutoff`` overrides the tail cutoff beyond which the value is
-    reported as exactly 0 (default: the double-precision underflow
-    threshold of the stretched-exponential tail).
-    """
+def wright_pdf(alpha, theta: float) -> float:
+    """Density zeta_alpha(theta) on (0, infinity); exactly 0 past the
+    double-precision underflow threshold of the stretched-exponential tail."""
     a = _as_alpha(alpha)
     if a >= 1.0:
         raise DomainError("the density degenerates to a point mass at alpha=1")
     if theta <= 0.0:
         raise DomainError(f"theta must be positive, got {theta}")
-    limit = underflow_cutoff(a) if cutoff is None else cutoff
-    if theta >= limit:
+    if theta >= underflow_cutoff(a):
         return 0.0
     value, max_abs = _wright_series_double(a, theta)
     if value is not None and max_abs <= _CANCELLATION_LIMIT * max(abs(value), 1e-300):
@@ -172,7 +167,7 @@ def _ml_series_double(alpha: float, beta: float, z: float):
         if ln_t > 700.0:
             return None, math.inf
         mag = math.exp(ln_t)
-        term = mag if z > 0.0 else mag * (-1.0) ** k
+        term = mag * (-1.0) ** k
         terms.append(term)
         running += term
         max_abs = max(max_abs, mag)
@@ -238,37 +233,34 @@ def _ml_integral_neg(alpha: float, beta: float, z: float) -> float:
 def ml(alpha: float, beta: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
-    Supported for 0 < alpha <= 1, beta > 0 and -ML_NEG_Z_LIMIT <= z <= 5.
+    Supported for 0 < alpha <= 1, beta > 0 and -ML_NEG_Z_LIMIT <= z <= 0.
     """
     alpha, beta, z = float(alpha), float(beta), float(z)
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if z > 5.0 or z < -ML_NEG_Z_LIMIT:
+    if z > 0.0 or z < -ML_NEG_Z_LIMIT:
         raise DomainError(
-            f"z={z} outside the supported range [{-ML_NEG_Z_LIMIT:g}, 5]")
+            f"z={z} outside the supported range [{-ML_NEG_Z_LIMIT:g}, 0]")
     if z == 0.0:
         return rgamma(beta)
     if alpha == 1.0 and beta == 1.0:
         return math.exp(z)
-    attempt = None
     if abs(z) <= 10.0:
         attempt, max_abs = _ml_series_double(alpha, beta, z)
         if attempt is not None and max_abs <= _ML_CANCELLATION_LIMIT * max(abs(attempt), 1e-300):
             return attempt
-    if z > 0.0 or alpha == 1.0:
-        # positive arguments are a series-only regime (test usage);
-        # alpha=1 with beta != 1 likewise
-        if attempt is not None:
-            return attempt
-        raise DomainError(
-            f"series evaluation unreliable for alpha={alpha}, beta={beta}, z={z}")
     if beta >= 1.0 + alpha - 1e-12:
         # outside the integral's validity; reduce the second parameter
-        # with E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z
+        # with E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, which at
+        # alpha = 1 ends in the exp shortcut for every integer beta
         lower = ml(alpha, beta - alpha, z)
         return (lower - rgamma(beta - alpha)) / z
+    if alpha == 1.0:
+        # the integral representation needs alpha < 1
+        raise DomainError(
+            f"series evaluation unreliable for alpha={alpha}, beta={beta}, z={z}")
     return _ml_integral_neg(alpha, beta, z)
 
 
@@ -294,35 +286,29 @@ def _ml_values(alpha: float, beta: float, zbytes: bytes) -> np.ndarray:
     return out
 
 
-def s_alpha_route_quadrature(alpha: float, x: float) -> float:
-    """Oracle: int_0^inf zeta_a(th) e^{-x th} dth, the S_alpha eigenfactor."""
+def _route_quadrature(alpha: float, x: float, power: int) -> float:
+    """a^power int_0^inf th^power zeta_a(th) e^{-x th} dth."""
     a = _as_alpha(alpha)
     # truncating where the density is ~1e-20 keeps the tail error far
     # below the 1e-7 bridge tolerance without deep-tail evaluations
     limit = underflow_cutoff(a, 45.0)
 
     def f(th):
-        return wright_pdf(a, th) * math.exp(-x * th)
+        return th ** power * wright_pdf(a, th) * math.exp(-x * th)
 
     from scipy.integrate import quad
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         v, _ = quad(f, 0.0, limit, epsabs=1e-11, epsrel=1e-11, limit=400)
-    return v
+    return a ** power * v
+
+
+def s_alpha_route_quadrature(alpha: float, x: float) -> float:
+    """Oracle: int_0^inf zeta_a(th) e^{-x th} dth, the S_alpha eigenfactor."""
+    return _route_quadrature(alpha, x, 0)
 
 
 def t_alpha_route_quadrature(alpha: float, x: float) -> float:
     """Oracle: a int_0^inf th zeta_a(th) e^{-x th} dth, the T_alpha eigenfactor."""
-    a = _as_alpha(alpha)
-    limit = underflow_cutoff(a, 45.0)
-
-    def f(th):
-        return th * wright_pdf(a, th) * math.exp(-x * th)
-
-    from scipy.integrate import quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        v, _ = quad(f, 0.0, limit, epsabs=1e-11, epsrel=1e-11, limit=400)
-    return a * v
+    return _route_quadrature(alpha, x, 1)

@@ -167,6 +167,18 @@ class TestSweep:
             beta, res = float(row[0]), float(row[1])
             assert f"{res:.6g}" == f"{beta / (beta + g):.6g}"
 
+    def test_classical_shipped_model_on_a_coarse_grid(self, tmp_path):
+        # alpha = 1 with lambda_max * dt = 1024 / 16 = 64, far past the
+        # series range of the first-lag weights E_{1,2} and E_{1,3}
+        text = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
+        cfg = _cfg_file(tmp_path, text.replace("alpha = 0.5", "alpha = 1.0"))
+        out = str(tmp_path / "o")
+        for command in ("simulate", "sweep"):
+            assert main(["--config", cfg, "--out", out, "--steps", "16",
+                         command]) == 0
+        _, _, rows = _read_csv(os.path.join(out, "sweep.csv"))
+        assert all(r[3] == "1" for r in rows)
+
     def test_beta_override(self, tmp_path):
         cfg = _cfg_file(tmp_path, SMALL)
         out = str(tmp_path / "o")

@@ -153,6 +153,21 @@ class TestMittagLefflerRange:
         parse_config("[model]\nalpha = 0.5\ntruncation = 2\n"
                      "eigenvalues = 1, 10000\n")
 
+    def test_last_grid_node_counts_toward_the_bound(self):
+        # (0.1 / 11) * 11 rounds up to 0.10000000000000002, so the last
+        # grid node would reach z = -10000.000000000002
+        text = ("[model]\nalpha = 1.0\nhorizon = 0.1\ntruncation = 1\n"
+                "eigenvalues = 100000\nu0 = single_mode(1, 1.0)\n"
+                "[solver]\nn_steps = {n}\n")
+        with pytest.raises(ConfigError) as e:
+            parse_config(text.format(n=11))
+        assert "eigenvalues" in str(e.value)
+        assert "-10000.000000000002" in str(e.value)
+        assert e.value.line == 5
+        cfg = parse_config(text.format(n=10))  # (0.1 / 10) * 10 == 0.1
+        traj = picard_solve(cfg.model, cfg.solver)
+        assert np.all(np.isfinite(traj.states))
+
 
 class TestCanonicalForm:
     def test_round_trip_is_lossless(self):

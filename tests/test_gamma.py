@@ -30,3 +30,12 @@ def test_log_gamma_consistency():
 def test_reciprocal():
     for x in (0.3, 1.0, 2.5, 8.0):
         assert rgamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-13)
+
+
+def test_large_arguments_up_to_the_double_limit():
+    # Gamma stays finite up to x ~ 171.6; the Lanczos power alone overflows
+    # from x ~ 142
+    xs = np.concatenate([np.linspace(100.0, 171.0, 711), np.arange(140.0, 172.0)])
+    for x in xs:
+        assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-13)
+        assert rgamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-13)

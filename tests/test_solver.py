@@ -27,7 +27,8 @@ def _model(n=2, alpha=0.5, u0=None, **kw):
 def _const_traj(values, n_steps=16, dt=None):
     values = np.asarray(values, dtype=float)
     dt = dt if dt is not None else 1.0 / n_steps
-    return Trajectory(dt, np.tile(values, (n_steps + 1, 1)))
+    states = np.tile(values, (n_steps + 1, 1))
+    return Trajectory(dt, states, np.zeros_like(states))
 
 
 class TestSolverConfig:
@@ -44,9 +45,9 @@ class TestSolverConfig:
 class TestTrajectory:
     def test_shape_checks(self):
         with pytest.raises(DomainError):
-            Trajectory(0.1, np.zeros((1, 3)))
+            Trajectory(0.1, np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(GridMismatchError):
-            Trajectory(0.1, np.zeros((5, 3)), controls=(np.zeros((4, 3)),))
+            Trajectory(0.1, np.zeros((5, 3)), forcing=np.zeros((4, 3)))
 
     def test_interp(self):
         # the stencils that sample delayed states and controls
@@ -167,6 +168,18 @@ class TestPicard:
         pert = picard_solve(m, cfg, control=[bumped])
         assert np.array_equal(base.states[:20], pert.states[:20])
         assert not np.allclose(base.states[20:], pert.states[20:])
+
+    def test_forcing_is_the_summed_realized_control(self):
+        # two identity-delay channels: forcing = B_1 mu_1 + B_2 mu_2 on the grid
+        b1, b2 = np.array([1.0, 2.0]), np.array([0.5, -1.0])
+        m = _model(n=2, alpha=0.6,
+                   control_delays=(DelayFn("identity"), DelayFn("identity")),
+                   control_multipliers=(b1, b2))
+        mu1 = np.outer(np.linspace(0.0, 1.0, 17), [1.0, 1.0])
+        mu2 = np.full((17, 2), 0.25)
+        tr = picard_solve(m, SolverConfig(n_steps=16), control=[mu1, mu2])
+        assert np.array_equal(tr.forcing, b1 * mu1 + b2 * mu2)
+        assert not np.any(picard_solve(m, SolverConfig(n_steps=16)).forcing)
 
     def test_control_shape_checked(self):
         m = _model(n=2, control_delays=(DelayFn("identity"),),

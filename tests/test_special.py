@@ -86,17 +86,32 @@ class TestDensity:
 class TestMittagLeffler:
     def test_params_validation(self):
         for a, b, z in ((0.0, 1.0, -1.0), (1.5, 1.0, -1.0), (0.5, 0.0, -1.0),
-                        (0.5, 1.0, 5.5), (0.5, 1.0, -1.01 * ML_NEG_Z_LIMIT)):
+                        (0.5, 1.0, -1.01 * ML_NEG_Z_LIMIT), (0.5, 1.0, 1e-300),
+                        (1.0, 1.0, 0.5), (1.0, 2.0, 5.0), (0.4, 2.5, 1.0),
+                        # past the series at alpha = 1, beta = 1.5 or 2.5
+                        # reduces to 0.5, not to 1, and there is no integral
+                        (1.0, 1.5, -20.0), (1.0, 2.5, -20.0)):
             with pytest.raises(DomainError):
                 ml(a, b, z)
-        with pytest.raises(DomainError, match=r"\[-10000, 5\]"):
+        with pytest.raises(DomainError, match=r"\[-10000, 0\]"):
             ml(0.5, 1.0, 6.0)
-        assert ml(0.5, 1.0, 5.0) > 0.0
+        assert ml(0.5, 1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
         assert math.isfinite(ml(0.5, 1.0, -ML_NEG_Z_LIMIT))
 
     def test_exponential_case(self):
-        for z in (-3.0, -1.0, 0.5, 1.0, 2.0):
+        for z in (-3.0, -1.0, -0.5, -1e-3, 0.0):
             assert ml(1.0, 1.0, z) == pytest.approx(math.exp(z), rel=1e-12)
+
+    def test_classical_closed_forms(self):
+        # E_{1,2}(z) = expm1(z)/z and E_{1,3}(z) = (expm1(z) - z)/z^2 past
+        # the series, where beta reduces to the exp shortcut
+        zs = -np.concatenate([np.geomspace(10.0 + 1e-9, 1e4, 200), [10.5625]])
+        for z in zs:
+            z = float(z)
+            e12 = math.expm1(z) / z
+            e13 = (math.expm1(z) - z) / (z * z)
+            assert ml(1.0, 2.0, z) == pytest.approx(e12, rel=1e-15, abs=0.0)
+            assert ml(1.0, 3.0, z) == pytest.approx(e13, rel=1e-15, abs=0.0)
 
     def test_half_order_closed_form(self):
         # E_{1/2,1}(-x) = exp(x^2) erfc(x)

@@ -9,7 +9,6 @@ from fracsteer import special
 from fracsteer.errors import DomainError, ModelValidationError
 from fracsteer.gammafn import gamma
 from fracsteer.solver import _nonlinearity_rows, build_grid_operators
-from fracsteer.special import ml
 from fracsteer.spectral import (DelayFn, ModelSpec, NonlinearityFn,
                                 SpectralState, synthesize_physical)
 
