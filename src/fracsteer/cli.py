@@ -18,7 +18,8 @@ import numpy as np
 
 from . import config as configmod
 from .control import ControlProblem, beta_sweep, closed_loop_solve, synthesize_control
-from .errors import ConfigError, OuterLoopDivergenceError, PicardDivergenceError
+from .errors import (ConfigError, DomainError, ModelValidationError,
+                     OuterLoopDivergenceError, PicardDivergenceError)
 from .fractional import SampledFunction, convolution_kernel, frac_integral
 from .gammafn import gamma
 from .solver import picard_solve
@@ -43,7 +44,8 @@ def _write_csv(path, meta, header, rows, trailer=()):
     with open(path, "w", newline="\n") as f:
         for k, v in meta:
             f.write(f"# {k} = {v}\n")
-        f.write(",".join(header) + "\n")
+        if header:
+            f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
         for k, v in trailer:
@@ -235,9 +237,21 @@ def main(argv=None) -> int:
 
     cfg = _load_config(args, parser)
     out_dir = _out_dir(cfg, args)
-    runner = {"simulate": run_simulate, "synthesize": run_synthesize,
-              "sweep": run_sweep, "verify-kernels": run_verify_kernels}
-    return runner[args.command](cfg, out_dir)
+    runner, csv_name = {
+        "simulate": (run_simulate, "simulate.csv"),
+        "synthesize": (run_synthesize, "control.csv"),
+        "sweep": (run_sweep, "sweep.csv"),
+        "verify-kernels": (run_verify_kernels, "verify_kernels.csv"),
+    }[args.command]
+    try:
+        return runner(cfg, out_dir)
+    except (DomainError, ModelValidationError) as exc:
+        # a failure after parsing leaves a CSV trailer and one line, as
+        # divergence does, instead of a traceback
+        _write_csv(os.path.join(out_dir, csv_name), _meta(cfg), (), (),
+                   trailer=[("error", type(exc).__name__)])
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

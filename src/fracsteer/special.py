@@ -7,9 +7,10 @@ Two independent routes are maintained on purpose:
   cancels), whose theta-integrals against exp(z*theta) define the
   fractional operator families, and
 * ``ml``, the production route for the same operator eigenvalue
-  factors, evaluated by power series where that is safe in double
-  precision and otherwise by a real integral representation on the
-  negative axis.
+  factors, evaluated by the large-|z| expansion where its truncation
+  error is certified below double rounding, by power series where that
+  is safe in double precision, and otherwise by a real integral
+  representation on the negative axis.
 
 The test suite ties the two routes together through the Laplace-type
 identities  int zeta_a(th) e^{-x th} dth = E_{a,1}(-x)  and
@@ -37,6 +38,11 @@ _ML_CANCELLATION_LIMIT = 1e4
 # most negative argument the Mittag-Leffler routes are validated for;
 # config parsing rejects models whose eigenfactors would reach past it
 ML_NEG_Z_LIMIT = 1e4
+# terms K of the large-|z| expansion, and the largest order it serves:
+# closer to alpha = 1 the rounding of beta - alpha k, next to a pole of
+# Gamma, shows in the coefficients
+_ASYMPTOTIC_TERMS = 24
+_ASYMPTOTIC_MAX_ALPHA = 0.999
 # distinct argument tables kept by ml_array; a sweep needs five (E_{a,1}
 # and E_{a,a} on the grid, E_{a,a} at the steering times, and the two
 # first-step weights), so 16 holds them while bounding memory on a fine
@@ -230,6 +236,63 @@ def _ml_integral_neg(alpha: float, beta: float, z: float) -> float:
     return head + tail
 
 
+@lru_cache(maxsize=64)
+def _asymptotic_plan(alpha: float, beta: float):
+    """Coefficients (c_K, ..., c_1), c_k = 1/Gamma(beta - alpha k), of the
+    expansion E_{a,b}(z) ~ -sum_{k=1}^{K} c_k z^{-k} (Podlubny 1999, Thm
+    1.4), and its reach: the |z| from which the truncation error is certified
+    below 2^-53 relative, or inf where the expansion is not used.
+
+    Expanding 1/(x + w^a e^{-i pi a}) in the negative-axis integral of
+    ``_ml_integral_neg`` (z = -x) geometrically gives the sum and an exact
+    remainder, |R_K| <= Gamma(1 - b + a (K+1)) / (pi s x^{K+1}), where
+    s = 1 for a <= 1/2 and sin(pi a) past it; the beta recurrence carries
+    the bound to every beta with 1 - b + a (K+1) > 0.  The factor 1/s
+    grows as alpha -> 1, where the part the expansion misses decays only
+    like e^{-x^{1/a}}, so the bound covers that part too.  With c_m the
+    first nonzero coefficient, the reach is the smallest x with
+        |R_K| <= 2^-53 (|c_m| x^-m - sum_{m<k<=K} |c_k| x^-k - |R_K|),
+    whose right side is a lower bound of |E|.  Times x^m, the left side
+    and the subtracted terms shrink with x, so every larger x passes too.
+    """
+    terms = _ASYMPTOTIC_TERMS
+    top = 1.0 - beta + alpha * (terms + 1)
+    if not (0.0 < alpha <= _ASYMPTOTIC_MAX_ALPHA and beta > 0.0 and top > 0.0):
+        return (), math.inf
+    coeffs = [rgamma(beta - alpha * k) for k in range(1, terms + 1)]
+    first = next(k for k, c in enumerate(coeffs) if c != 0.0)
+    scale = 1.0 if alpha <= 0.5 else math.sin(math.pi * alpha)
+    bound = gamma(top) / (math.pi * scale)
+    eps = 2.0 ** -53
+
+    def certified(x):
+        t = 1.0 / x
+        rest = sum(abs(c) * t ** (k + 1) for k, c in enumerate(coeffs) if k > first)
+        tail = bound * t ** (terms + 1)
+        return (1.0 + eps) * tail + eps * rest <= eps * abs(coeffs[first]) * t ** (first + 1)
+
+    hi = 1.0
+    while not certified(hi):
+        hi *= 2.0
+        if hi > ML_NEG_Z_LIMIT:
+            return (), math.inf
+    lo = hi / 2.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if certified(mid) else (mid, hi)
+    return tuple(reversed(coeffs)), hi
+
+
+def _asymptotic_sum(coeffs, z):
+    """-sum_k c_k z^{-k} by Horner's rule in w = 1/z, for a float or an
+    array: only + and * on w, which round the same way in both."""
+    w = 1.0 / z
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * w + c
+    return -acc * w
+
+
 def ml(alpha: float, beta: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
@@ -247,6 +310,9 @@ def ml(alpha: float, beta: float, z: float) -> float:
         return rgamma(beta)
     if alpha == 1.0 and beta == 1.0:
         return math.exp(z)
+    coeffs, reach = _asymptotic_plan(alpha, beta)
+    if -z >= reach:
+        return _asymptotic_sum(coeffs, z)
     if abs(z) <= 10.0:
         attempt, max_abs = _ml_series_double(alpha, beta, z)
         if attempt is not None and max_abs <= _ML_CANCELLATION_LIMIT * max(abs(attempt), 1e-300):
@@ -277,11 +343,20 @@ def ml_array(alpha: float, beta: float, z) -> np.ndarray:
 
 @lru_cache(maxsize=_ML_TABLES)
 def _ml_values(alpha: float, beta: float, zbytes: bytes) -> np.ndarray:
-    """Flat read-only table of ``ml`` over the doubles packed in ``zbytes``."""
+    """Flat read-only table of ``ml`` over the doubles packed in ``zbytes``.
+
+    Elements within the reach of the large-|z| expansion are summed in one
+    array pass, with the arithmetic ``ml`` uses on them; ``ml`` evaluates
+    the rest one at a time (and raises on any argument it rejects).
+    """
     flat = np.frombuffer(zbytes, dtype=float)
     out = np.empty(flat.size)
-    for i, zi in enumerate(flat):
-        out[i] = ml(alpha, beta, float(zi))
+    coeffs, reach = _asymptotic_plan(alpha, beta)
+    far = (-flat >= reach) & (flat >= -ML_NEG_Z_LIMIT)
+    if far.any():
+        out[far] = _asymptotic_sum(coeffs, flat[far])
+    for i in np.flatnonzero(~far):
+        out[i] = ml(alpha, beta, float(flat[i]))
     out.flags.writeable = False
     return out
 

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import fracsteer
+from fracsteer import cli
 from fracsteer.cli import main
+from fracsteer.errors import DomainError, ModelValidationError
 from fracsteer.config import parse_config
 
 SRC = os.path.dirname(os.path.dirname(fracsteer.__file__))
@@ -267,6 +269,28 @@ class TestUsageErrors:
         assert meta["config_sha256"] == expect.digest()
         assert meta["config_sha256"] != parse_config(shipped).digest()
         assert len(rows) == 17
+
+
+class TestRunErrors:
+    @pytest.mark.parametrize("command, target, csv_name", [
+        ("simulate", "picard_solve", "simulate.csv"),
+        ("sweep", "beta_sweep", "sweep.csv"),
+    ])
+    @pytest.mark.parametrize("error", [DomainError, ModelValidationError])
+    def test_failure_after_parsing_exits_1_with_a_trailer(
+            self, tmp_path, capsys, monkeypatch, command, target, csv_name, error):
+        def fail(*args, **kwargs):
+            raise error("factor out of range")
+
+        monkeypatch.setattr(cli, target, fail)
+        out = str(tmp_path / "o")
+        assert main(["--out", out, command]) == 1
+        meta, header, rows = _read_csv(os.path.join(out, csv_name))
+        assert meta["error"] == error.__name__
+        assert "config_sha256" in meta
+        assert header is None and rows == []
+        err = capsys.readouterr().err
+        assert err == f"{command}: factor out of range\n"
 
 
 class TestImports:

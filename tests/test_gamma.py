@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -39,3 +40,17 @@ def test_large_arguments_up_to_the_double_limit():
     for x in xs:
         assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-13)
         assert rgamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-13)
+
+
+def test_reflection_next_to_the_poles():
+    # the reflection reduces x by its nearest integer before taking
+    # sin(pi x), so the poles at -n keep full relative accuracy
+    worst = 0.0
+    for n in range(1, 21):
+        offsets = [k * math.ulp(float(n)) for k in (-3, -2, -1, 1, 2, 3)]
+        for x in [-n + d for d in offsets] + [-n - 1e-7, -n + 1e-7]:
+            with mp.workdps(40):
+                ref_g, ref_r = mp.gamma(mp.mpf(x)), mp.rgamma(mp.mpf(x))
+                worst = max(worst, float(abs((gamma(x) - ref_g) / ref_g)),
+                            float(abs((rgamma(x) - ref_r) / ref_r)))
+    assert worst <= 1e-14

@@ -180,23 +180,135 @@ class TestMemoizedArray:
         assert ml_array(0.55, 1.0, z)[1] == ml(0.55, 1.0, -3.0)
         assert np.array_equal(ml_array(0.55, 1.0, -np.array([0.5, 2.0, 7.0])), kept)
 
-    def test_repeat_call_skips_evaluation(self, monkeypatch):
+    def test_repeat_call_skips_evaluation(self):
         z = -np.array([0.25, 1.5, 9.0])
         special._ml_values.cache_clear()
-        calls = [0]
-        inner = special.ml
+        first = ml_array(0.45, 0.45, z)
+        assert special._ml_values.cache_info().misses == 1
+        assert np.array_equal(ml_array(0.45, 0.45, z.copy()), first)
+        assert special._ml_values.cache_info().misses == 1
+        ml_array(0.45, 1.0, z)
+        assert special._ml_values.cache_info().misses == 2
 
-        def counting(*args):
-            calls[0] += 1
+
+def _ml_oracle(alpha, beta, z):
+    """E_{alpha,beta}(z), z < 0, from the negative-axis integral at 40 digits.
+
+    The substitution w = u^p, p = 1/(alpha - beta + 1), absorbs the
+    w^(alpha - beta) endpoint factor, which tanh-sinh quadrature does not
+    resolve on its own; beta >= 1 + alpha goes through the recurrence
+    E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, in mpmath.
+    """
+    with mp.workdps(40):
+        return float(_ml_oracle_mp(mp.mpf(alpha), mp.mpf(beta), -mp.mpf(z)))
+
+
+def _ml_oracle_mp(a, b, x):
+    if b >= 1 + a:
+        return (_ml_oracle_mp(a, b - a, x) - mp.rgamma(b - a)) / -x
+    p = 1 / (a - b + 1)
+    s1, s2, c = mp.sinpi(1 - b), mp.sinpi(1 - b + a), mp.cospi(a)
+
+    def f(u):
+        w = u ** p
+        if w > 1000:
+            return mp.mpf(0)
+        wa = w ** a
+        return mp.exp(-w) * (wa * s1 + x * s2) / (wa * wa + 2 * x * wa * c + x * x)
+
+    # break at the dip of the denominator near w = x^(1/a) and where e^-w fades
+    ws = sorted({mp.mpf(1), mp.mpf(40), mp.mpf(300), x ** (1 / a)})
+    pts = [mp.mpf(0)] + [w ** (1 / p) for w in ws if w < 2000] + [mp.inf]
+    return p * mp.quad(f, pts) / mp.pi
+
+
+def _asymptotic_cases(alphas, zs):
+    """(alpha, beta, z) for beta in {a, 1, a+1, a+2}: z from ``zs`` where
+    the expansion takes it, and z at the expansion's reach."""
+    cases = []
+    for a in alphas:
+        for b in (a, 1.0, a + 1.0, a + 2.0):
+            reach = special._asymptotic_plan(a, b)[1]
+            cases += [(a, b, z) for z in (-reach, *zs) if -z >= reach]
+    return cases
+
+
+class TestAsymptoticBranch:
+    def _check(self, cases):
+        worst = 0.0
+        for a, b, z in cases:
+            coeffs, reach = special._asymptotic_plan(a, b)
+            got = (ml(a, b, z) if z >= -ML_NEG_Z_LIMIT
+                   else special._asymptotic_sum(coeffs, z))
+            ref = _ml_oracle(a, b, z)
+            worst = max(worst, abs(got - ref) / abs(ref))
+        assert worst <= 1e-13
+
+    def test_oracle_slice(self):
+        cases = _asymptotic_cases((0.3, 0.999), (-50.0, -1e4, -1e8))
+        assert len(cases) == 30
+        self._check(cases)
+
+    @pytest.mark.slow
+    def test_oracle_grid(self):
+        cases = _asymptotic_cases(
+            (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999),
+            (-10.0, -20.0, -50.0, -1e3, -1e4, -1e6, -1e8))
+        assert len(cases) == 190
+        self._check(cases)
+
+    def test_remainder_bound_holds_below_the_reach(self):
+        # |E - S_K| <= Gamma(1 - b + a (K+1)) / (pi s x^(K+1)), s = sin(pi a)
+        # past a = 1/2, where the truncation error is far above rounding
+        # (without the 1/s factor it fails from alpha = 0.9); at the reach
+        # the bound is below double rounding of E
+        terms = special._ASYMPTOTIC_TERMS
+        for a in (0.6, 0.9, 0.999):
+            for b in (a, 1.0, a + 2.0):
+                coeffs, reach = special._asymptotic_plan(a, b)
+                top = gamma(1.0 - b + a * (terms + 1)) / (math.pi * math.sin(math.pi * a))
+                for x in (0.4 * reach, 0.6 * reach):
+                    err = abs(special._asymptotic_sum(coeffs, -x) - _ml_oracle(a, b, -x))
+                    assert err <= top / x ** (terms + 1)
+                assert top / reach ** (terms + 1) <= 2.0 ** -52 * abs(_ml_oracle(a, b, -reach))
+
+    def test_array_pass_matches_scalar_calls_across_the_reach(self):
+        for a, b in ((0.5, 1.0), (0.7, 0.7), (0.9, 1.9)):
+            coeffs, reach = special._asymptotic_plan(a, b)
+            z = -np.concatenate([np.linspace(0.5, 2.0 * reach, 301),
+                                 [reach, np.nextafter(reach, 0.0)]])
+            vals = ml_array(a, b, z)
+            assert np.array_equal(vals, [ml(a, b, float(zi)) for zi in z])
+            assert vals[-2] == special._asymptotic_sum(coeffs, -reach)
+
+    def test_integral_runs_only_for_rejected_elements(self, monkeypatch):
+        # reach 21.2 at (0.7, 0.7): 0.5 and 2 go to the series, 12 and 15
+        # to the integral, the rest to the expansion
+        z = -np.array([0.5, 2.0, 12.0, 15.0, 50.0, 500.0, 5000.0])
+        special._ml_values.cache_clear()
+        integrated = []
+        inner = special._ml_integral_neg
+
+        def recording(*args):
+            integrated.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(special, "ml", counting)
-        first = ml_array(0.45, 0.45, z)
-        assert calls[0] == 3
-        assert np.array_equal(ml_array(0.45, 0.45, z.copy()), first)
-        assert calls[0] == 3
-        ml_array(0.45, 1.0, z)
-        assert calls[0] == 6
+        monkeypatch.setattr(special, "_ml_integral_neg", recording)
+        vals = ml_array(0.7, 0.7, z)
+        assert integrated == [(0.7, 0.7, -12.0), (0.7, 0.7, -15.0)]
+        far = special._asymptotic_sum(special._asymptotic_plan(0.7, 0.7)[0], z[4:])
+        assert np.array_equal(vals[4:], far)
+
+    def test_rejected_element_keeps_the_older_route(self):
+        # at alpha = 0.999 the expansion certifies itself only from |z| ~ 88
+        assert special._asymptotic_plan(0.999, 0.999)[1] > 20.0
+        assert ml(0.999, 0.999, -20.0) == special._ml_integral_neg(0.999, 0.999, -20.0)
+
+    def test_orders_past_0_999_never_take_it(self):
+        # all coefficients vanish at alpha = 1, where exp stays the route
+        for a, b in ((1.0, 1.0), (1.0, 2.0), (1.0, 3.0), (0.9999, 1.0)):
+            assert special._asymptotic_plan(a, b) == ((), math.inf)
+        assert ml(1.0, 1.0, -50.0) == math.exp(-50.0)
 
 
 class TestRouteQuadratures:
