@@ -31,6 +31,8 @@ _ENV_OUT = "FRACSTEER_OUT"
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return f"{x:.17g}"
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):
@@ -101,11 +103,12 @@ def run_simulate(cfg, out_dir) -> int:
         return 1
     header = (["t"] + [f"mode_{i}" for i in range(1, traj.truncation + 1)]
               + [f"x_{_fmt(x)}" for x in cfg.x_points])
+    # Python floats, so each value formats directly
     rows = []
-    for k, t in enumerate(traj.grid()):
-        phys = (synthesize_physical(traj.state_at(k), cfg.x_points)
+    for k, t in enumerate(traj.grid().tolist()):
+        phys = (synthesize_physical(traj.state_at(k), cfg.x_points).tolist()
                 if cfg.x_points else [])
-        rows.append([t, *traj.states[k], *phys])
+        rows.append([t, *traj.states[k].tolist(), *phys])
     _write_csv(os.path.join(out_dir, "simulate.csv"), _meta(cfg), header, rows)
     return 0
 

@@ -10,6 +10,7 @@ violated hypothesis; ``to_text`` re-emits a canonical form whose parse
 yields an identical configuration.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -31,6 +32,17 @@ _SECTIONS = {
 }
 
 _GAUSS_NODES = 400
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_rule():
+    """Gauss-Legendre nodes and weights mapped to [0, pi], built once."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    x = 0.5 * math.pi * (nodes + 1.0)
+    w = 0.5 * math.pi * weights
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -117,9 +129,7 @@ def synthesize_shape(spec: str, n: int) -> np.ndarray:
         center, width = args
         if width <= 0.0:
             raise ValueError("gaussian_bump width must be positive")
-        nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-        x = 0.5 * math.pi * (nodes + 1.0)
-        w = 0.5 * math.pi * weights
+        x, w = _gauss_rule()
         f = np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
         modes = np.arange(1, n + 1)
         basis = math.sqrt(2.0 / math.pi) * np.sin(np.outer(modes, x))

@@ -307,3 +307,23 @@ class TestImports:
                               capture_output=True, text=True, timeout=60,
                               check=True)
         assert done.stdout.strip() == "False"
+
+    def test_simulate_leaves_scipy_fft_unimported(self, tmp_path):
+        # the memory convolution runs on numpy.fft, which loads on first
+        # use; scipy.fft would add tens of MB of resident memory.  At
+        # alpha = 1 no quadrature runs (scipy.integrate itself pulls in
+        # scipy.fft), and 128 steps reach past the 64-row direct blocks.
+        text = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
+        cfg = _cfg_file(tmp_path, text.replace("alpha = 0.5", "alpha = 1"))
+        code = ("import sys\n"
+                "import fracsteer.cli\n"
+                "print('numpy.fft' in sys.modules)\n"
+                f"fracsteer.cli.main(['--config', {cfg!r}, '--out',"
+                f" {str(tmp_path)!r}, '--steps', '128', 'simulate'])\n"
+                "print('numpy.fft' in sys.modules,"
+                " 'scipy.fft' in sys.modules, 'scipy.signal' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        assert done.stdout.split("\n")[:2] == ["False", "True False False"]
