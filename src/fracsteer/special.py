@@ -9,8 +9,11 @@ Two independent routes are maintained on purpose:
 * ``ml``, the production route for the same operator eigenvalue
   factors, evaluated by the large-|z| expansion where its truncation
   error is certified below double rounding, by power series where that
-  is safe in double precision, and otherwise by a real integral
-  representation on the negative axis.
+  is safe in double precision, and otherwise by a trapezoid rule on a
+  parabolic Hankel contour in numpy (orders up to 0.999) or, for
+  0.999 < alpha < 1, by a real integral representation on the negative
+  axis, the one route here that loads scipy besides the density and
+  the quadrature oracles.
 
 The test suite ties the two routes together through the Laplace-type
 identities  int zeta_a(th) e^{-x th} dth = E_{a,1}(-x)  and
@@ -38,11 +41,22 @@ _ML_CANCELLATION_LIMIT = 1e4
 # most negative argument the Mittag-Leffler routes are validated for;
 # config parsing rejects models whose eigenfactors would reach past it
 ML_NEG_Z_LIMIT = 1e4
-# terms K of the large-|z| expansion, and the largest order it serves:
-# closer to alpha = 1 the rounding of beta - alpha k, next to a pole of
-# Gamma, shows in the coefficients
+# terms K of the large-|z| expansion, and the largest order it and the
+# contour rule serve: closer to alpha = 1 the rounding of beta - alpha k,
+# next to a pole of Gamma, shows in the coefficients, and the contour's
+# O(1) terms cancel down to a value near e^{-|z|}
 _ASYMPTOTIC_TERMS = 24
 _ASYMPTOTIC_MAX_ALPHA = 0.999
+# parabolic contour s(u) = mu (1 + iu)^2 of Garrappa's trapezoid rule
+# (SIAM J. Numer. Anal. 53(3), 2015), at u = kh for |k| <= 27: for z < 0
+# and alpha < 1 no pole of s^(alpha - beta) / (s^alpha - z) lies on the
+# principal sheet, so one node set serves every argument of the band
+_CONTOUR_MU = 1.5
+_CONTOUR_H = 0.181
+_CONTOUR_U = _CONTOUR_H * np.arange(-27, 28)
+_CONTOUR_S = _CONTOUR_MU * (1.0 + 1j * _CONTOUR_U) ** 2
+_CONTOUR_W = ((_CONTOUR_H * _CONTOUR_MU / math.pi) * np.exp(_CONTOUR_S)
+              * (1.0 + 1j * _CONTOUR_U))
 # distinct argument tables kept by ml_array; a sweep needs five (E_{a,1}
 # and E_{a,a} on the grid, E_{a,a} at the steering times, and the two
 # first-step weights), so 16 holds them while bounding memory on a fine
@@ -236,6 +250,19 @@ def _ml_integral_neg(alpha: float, beta: float, z: float) -> float:
     return head + tail
 
 
+def _ml_contour(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) for z < 0, 0 < alpha < 1, beta < 1 + alpha.
+
+    Trapezoid rule on the parabolic Hankel contour s(u) = mu (1 + iu)^2:
+    E = (1 / 2 pi i) int e^s s^(alpha - beta) / (s^alpha - z) ds
+      ~ (h mu / pi) Re sum_k e^s s^(alpha - beta) (1 + iu) / (s^alpha - z).
+    For beta >= 1 + alpha the terms decay too slowly in the fixed nodes,
+    so callers reduce that case first.
+    """
+    s = _CONTOUR_S
+    return float(np.sum(_CONTOUR_W * s ** (alpha - beta) / (s ** alpha - z)).real)
+
+
 @lru_cache(maxsize=64)
 def _asymptotic_plan(alpha: float, beta: float):
     """Coefficients (c_K, ..., c_1), c_k = 1/Gamma(beta - alpha k), of the
@@ -297,6 +324,11 @@ def ml(alpha: float, beta: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
     Supported for 0 < alpha <= 1, beta > 0 and -ML_NEG_Z_LIMIT <= z <= 0.
+    Routes, in order: 1/Gamma(beta) at z = 0; exp at alpha = beta = 1;
+    the large-|z| expansion from its reach; the power series for
+    |z| <= 10 where it does not cancel; the reduction of beta >= 1 + alpha;
+    then the contour rule for alpha <= 0.999 and the negative-axis
+    integral for 0.999 < alpha < 1.
     """
     alpha, beta, z = float(alpha), float(beta), float(z)
     if not (0.0 < alpha <= 1.0):
@@ -324,9 +356,11 @@ def ml(alpha: float, beta: float, z: float) -> float:
         lower = ml(alpha, beta - alpha, z)
         return (lower - rgamma(beta - alpha)) / z
     if alpha == 1.0:
-        # the integral representation needs alpha < 1
+        # both representations below need alpha < 1
         raise DomainError(
             f"series evaluation unreliable for alpha={alpha}, beta={beta}, z={z}")
+    if alpha <= _ASYMPTOTIC_MAX_ALPHA:
+        return _ml_contour(alpha, beta, z)
     return _ml_integral_neg(alpha, beta, z)
 
 

@@ -308,6 +308,22 @@ class TestImports:
                               check=True)
         assert done.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("command", ["simulate", "synthesize", "sweep"])
+    def test_shipped_config_runs_without_scipy(self, tmp_path, command):
+        # at alpha = 0.5 the Mittag-Leffler band goes to the numpy contour
+        # rule; scipy serves only verify-kernels and 0.999 < alpha < 1
+        cfg = str(resources.files("fracsteer") / "data" / "default.cfg")
+        code = ("import sys\n"
+                "import fracsteer.cli\n"
+                f"fracsteer.cli.main(['--config', {cfg!r}, '--out',"
+                f" {str(tmp_path)!r}, '--steps', '16', {command!r}])\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        assert done.stdout.split("\n")[-2] == "[]"
+
     def test_simulate_leaves_scipy_fft_unimported(self, tmp_path):
         # the memory convolution runs on numpy.fft, which loads on first
         # use; scipy.fft would add tens of MB of resident memory.  At

@@ -1,6 +1,7 @@
 """Probability-density and Mittag-Leffler kernel routines."""
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -283,32 +284,89 @@ class TestAsymptoticBranch:
 
     def test_integral_runs_only_for_rejected_elements(self, monkeypatch):
         # reach 21.2 at (0.7, 0.7): 0.5 and 2 go to the series, 12 and 15
-        # to the integral, the rest to the expansion
+        # to the contour rule, the rest to the expansion; the negative-axis
+        # integral serves only orders past 0.999
         z = -np.array([0.5, 2.0, 12.0, 15.0, 50.0, 500.0, 5000.0])
         special._ml_values.cache_clear()
-        integrated = []
-        inner = special._ml_integral_neg
+        calls = {"contour": [], "integral": []}
 
-        def recording(*args):
-            integrated.append(args)
-            return inner(*args)
+        def recording(name, inner):
+            def wrapped(*args):
+                calls[name].append(args)
+                return inner(*args)
+            return wrapped
 
-        monkeypatch.setattr(special, "_ml_integral_neg", recording)
+        monkeypatch.setattr(special, "_ml_contour",
+                            recording("contour", special._ml_contour))
+        monkeypatch.setattr(special, "_ml_integral_neg",
+                            recording("integral", special._ml_integral_neg))
         vals = ml_array(0.7, 0.7, z)
-        assert integrated == [(0.7, 0.7, -12.0), (0.7, 0.7, -15.0)]
+        assert calls == {"contour": [(0.7, 0.7, -12.0), (0.7, 0.7, -15.0)],
+                         "integral": []}
         far = special._asymptotic_sum(special._asymptotic_plan(0.7, 0.7)[0], z[4:])
         assert np.array_equal(vals[4:], far)
 
     def test_rejected_element_keeps_the_older_route(self):
-        # at alpha = 0.999 the expansion certifies itself only from |z| ~ 88
+        # at alpha = 0.999 the expansion certifies itself only from |z| ~ 88,
+        # and the contour rule takes the band below; past 0.999 neither
+        # serves, and the negative-axis integral does
         assert special._asymptotic_plan(0.999, 0.999)[1] > 20.0
-        assert ml(0.999, 0.999, -20.0) == special._ml_integral_neg(0.999, 0.999, -20.0)
+        assert ml(0.999, 0.999, -20.0) == special._ml_contour(0.999, 0.999, -20.0)
+        assert ml(0.9999, 0.9999, -20.0) == special._ml_integral_neg(0.9999, 0.9999, -20.0)
 
     def test_orders_past_0_999_never_take_it(self):
         # all coefficients vanish at alpha = 1, where exp stays the route
         for a, b in ((1.0, 1.0), (1.0, 2.0), (1.0, 3.0), (0.9999, 1.0)):
             assert special._asymptotic_plan(a, b) == ((), math.inf)
         assert ml(1.0, 1.0, -50.0) == math.exp(-50.0)
+
+
+def _band_cases(alphas, per_beta):
+    """(alpha, beta, z) for beta in {a, 1, a+1, a+2}, on ``per_beta``
+    geometric points from |z| = 0.05 up to the expansion's reach, kept
+    where ``ml`` ends in the contour rule (the series rejected)."""
+    cases, reached = [], []
+    inner = special._ml_contour
+
+    def recording(*args):
+        reached.append(args)
+        return inner(*args)
+
+    with mock.patch.object(special, "_ml_contour", recording):
+        for a in alphas:
+            for b in (a, 1.0, a + 1.0, a + 2.0):
+                reach = special._asymptotic_plan(a, b)[1]
+                for x in np.geomspace(0.05, reach, per_beta, endpoint=False):
+                    reached.clear()
+                    ml(a, b, -float(x))
+                    if reached:
+                        cases.append((a, b, -float(x)))
+    return cases
+
+
+class TestContourBand:
+    # worst relative error of ``ml`` against the oracle on the full grid:
+    # 6.2e-14 up to alpha = 0.9, 4.0e-13 at 0.99 and 1.1e-11 at 0.999,
+    # where E at the top of the band is far below the rule's O(1) terms
+    @staticmethod
+    def _bound(alpha):
+        return 1e-13 if alpha <= 0.9 else 5e-12 if alpha <= 0.99 else 3.5e-11
+
+    def _check(self, cases):
+        for a, b, z in cases:
+            ref = _ml_oracle(a, b, z)
+            assert abs(ml(a, b, z) - ref) <= self._bound(a) * abs(ref), (a, b, z)
+
+    def test_oracle_slice(self):
+        cases = _band_cases((0.3, 0.999), 16)
+        assert len(cases) == 29
+        self._check(cases)
+
+    @pytest.mark.slow
+    def test_oracle_grid(self):
+        cases = _band_cases((0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999), 48)
+        assert len(cases) == 320
+        self._check(cases)
 
 
 class TestRouteQuadratures:
