@@ -308,10 +308,12 @@ class TestImports:
                               check=True)
         assert done.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("command", ["simulate", "synthesize", "sweep"])
+    @pytest.mark.parametrize("command",
+                             ["simulate", "synthesize", "sweep", "verify-kernels"])
     def test_shipped_config_runs_without_scipy(self, tmp_path, command):
         # at alpha = 0.5 the Mittag-Leffler band goes to the numpy contour
-        # rule; scipy serves only verify-kernels and 0.999 < alpha < 1
+        # rule, and the density and its oracle integrals use fixed
+        # Gauss-Legendre rules; scipy serves only 0.999 < alpha < 1
         cfg = str(resources.files("fracsteer") / "data" / "default.cfg")
         code = ("import sys\n"
                 "import fracsteer.cli\n"

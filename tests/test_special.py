@@ -1,6 +1,7 @@
 """Probability-density and Mittag-Leffler kernel routines."""
 
 import math
+import warnings
 from unittest import mock
 
 import mpmath as mp
@@ -13,8 +14,8 @@ from fracsteer.gammafn import gamma, rgamma
 from fracsteer.special import (ML_NEG_Z_LIMIT, _wright_integral,
                                _wright_series_double, ml, ml_array,
                                s_alpha_route_quadrature,
-                               t_alpha_route_quadrature, underflow_cutoff,
-                               wright_moment, wright_pdf)
+                               t_alpha_route_quadrature, theta_rule,
+                               underflow_cutoff, wright_moment, wright_pdf)
 
 
 def _ml_series_mp(alpha, beta, z):
@@ -28,6 +29,50 @@ def _ml_series_mp(alpha, beta, z):
         for k in range(terms):
             total += zz ** k / mp.gamma(a * k + b)
         return float(total)
+
+
+def _wright_integral_quad(alpha, theta):
+    """The stable-law integral of ``_wright_integral`` by adaptive
+    ``scipy.integrate.quad`` (its former production route), as an oracle."""
+    one = 1.0 - alpha
+    ratio = alpha / one
+    x = theta ** (1.0 / one)
+
+    def f(u):
+        if u <= 0.0:
+            ln_a = math.log(special._tail_exponent_scale(alpha))
+        elif u >= math.pi:
+            return 0.0
+        else:
+            ln_a = (ratio * math.log(math.sin(alpha * u))
+                    + math.log(math.sin(one * u))
+                    - math.log(math.sin(u)) / one)
+        if ln_a > 690.0:
+            return 0.0
+        a_val = math.exp(ln_a)
+        e = x * a_val
+        return 0.0 if e > 700.0 else a_val * math.exp(-e)
+
+    from scipy.integrate import quad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        val, _ = quad(f, 0.0, math.pi, epsabs=1e-300, epsrel=1e-11, limit=200)
+    return theta ** ratio * val / (one * math.pi)
+
+
+def _integral_route_points(alphas, n):
+    """(alpha, theta) at which ``wright_pdf`` takes the stable-law integral,
+    on n equispaced thetas below the underflow cutoff."""
+    points = []
+    for a in alphas:
+        cut = underflow_cutoff(a)
+        with mock.patch.object(special, "_wright_integral",
+                               wraps=special._wright_integral) as spy:
+            for theta in np.linspace(cut / n, cut, n, endpoint=False):
+                wright_pdf(a, float(theta))
+        points += [c.args for c in spy.call_args_list]
+    return points
 
 
 class TestDensity:
@@ -82,6 +127,35 @@ class TestDensity:
             total, _ = quad(lambda th: wright_pdf(a, th), 0.0,
                             underflow_cutoff(a, 45.0), limit=200)
             assert total == pytest.approx(1.0, abs=1e-6)
+
+    def _check_integral_route(self, points):
+        # the worst relative error on the full grid is 6.5e-12, at alpha =
+        # 0.99 next to the cutoff, where theta^{1/(1-a)} A(u) ~ 600 turns
+        # rounding of ln A into relative error of the value
+        checked = 0
+        for a, theta in points:
+            ref = _wright_integral_quad(a, theta)
+            if ref >= 1e-290:
+                checked += 1
+                err = abs(_wright_integral(a, theta) - ref)
+                assert err <= 1e-11 * ref, (a, theta)
+        return checked
+
+    def test_integral_route_matches_quadrature(self):
+        points = _integral_route_points((0.7, 0.99), 100)
+        assert self._check_integral_route(points) == 82
+
+    @pytest.mark.slow
+    def test_integral_route_matches_quadrature_grid(self):
+        points = _integral_route_points((0.3, 0.5, 0.7, 0.9, 0.95, 0.99), 2000)
+        assert self._check_integral_route(points) > 5000
+
+    def test_theta_rule_closed_form(self):
+        # int_0^c e^{-th^2/4} / sqrt(pi) dth = erf(c/2)
+        for c in (0.5, 2.0, 6.0, 13.5, 30.0):
+            th, w = theta_rule(c)
+            got = w @ (np.exp(-th * th / 4.0) / math.sqrt(math.pi))
+            assert abs(got - math.erf(c / 2.0)) <= 1e-13
 
 
 class TestMittagLeffler:
@@ -193,13 +267,18 @@ class TestMemoizedArray:
 
 
 def _ml_oracle(alpha, beta, z):
-    """E_{alpha,beta}(z), z < 0, from the negative-axis integral at 40 digits.
+    """E_{alpha,beta}(z), z < 0: the mpmath power series for |z| <= 1, and
+    past it the negative-axis integral at 40 digits.
 
     The substitution w = u^p, p = 1/(alpha - beta + 1), absorbs the
     w^(alpha - beta) endpoint factor, which tanh-sinh quadrature does not
     resolve on its own; beta >= 1 + alpha goes through the recurrence
-    E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, in mpmath.
+    E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, in mpmath.  Each step
+    of it loses log10(1/|z|) digits, which is why small |z| takes the
+    series.
     """
+    if abs(z) <= 1.0:
+        return _ml_series_mp(alpha, beta, z)
     with mp.workdps(40):
         return float(_ml_oracle_mp(mp.mpf(alpha), mp.mpf(beta), -mp.mpf(z)))
 
@@ -221,6 +300,20 @@ def _ml_oracle_mp(a, b, x):
     ws = sorted({mp.mpf(1), mp.mpf(40), mp.mpf(300), x ** (1 / a)})
     pts = [mp.mpf(0)] + [w ** (1 / p) for w in ws if w < 2000] + [mp.inf]
     return p * mp.quad(f, pts) / mp.pi
+
+
+class TestOracle:
+    def test_small_argument_past_the_recurrence(self):
+        # at alpha = 0.1, beta = 2.1 the recurrence takes ten steps; 80-digit
+        # series values, which the integral route missed by a factor of
+        # 1060 at -1e-4 and by 1.3e-9 at -1e-3
+        for z, ref in ((-1e-4, 0.9554883446671222), (-1e-3, 0.9546723490863676)):
+            assert _ml_oracle(0.1, 2.1, z) == pytest.approx(ref, rel=1e-15)
+            assert ml(0.1, 2.1, z) == pytest.approx(ref, rel=1e-14)
+        # the series and the integral route meet at |z| = 1
+        with mp.workdps(40):
+            integral = float(_ml_oracle_mp(mp.mpf(0.1), mp.mpf(2.1), mp.mpf(1)))
+        assert integral == pytest.approx(_ml_oracle(0.1, 2.1, -1.0), rel=1e-15)
 
 
 def _asymptotic_cases(alphas, zs):
