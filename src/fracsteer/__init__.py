@@ -6,14 +6,12 @@ from .control import (ControlProblem, SweepReport, beta_sweep,
                       closed_loop_solve, compute_grammian, control_energy,
                       residual_p, resolvent_apply, synthesize_control)
 from .errors import (ConfigError, DomainError, GridMismatchError,
-                     InsufficientDataError, ModelValidationError,
-                     OuterLoopDivergenceError, PicardDivergenceError)
-from .fractional import (ConvolutionKernel, SampledFunction,
-                         convolution_kernel, frac_integral)
+                     ModelValidationError, OuterLoopDivergenceError,
+                     PicardDivergenceError)
+from .fractional import ConvolutionKernel, convolution_kernel
 from .solver import (SolverConfig, Trajectory, mild_residual,
                      nonlocal_offsets, picard_solve)
-from .special import (ml, ml_array, underflow_cutoff, wright_moment,
-                      wright_pdf)
+from .special import ml, ml_array, underflow_cutoff, wright_pdf
 from .spectral import (DelayFn, ModelSpec, NonlinearityFn, SpectralState,
                        synthesize_physical)
 

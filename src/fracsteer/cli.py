@@ -9,7 +9,6 @@ requested run converged / every verification passed.
 """
 
 import argparse
-import math
 import os
 import sys
 from importlib import resources
@@ -20,12 +19,8 @@ from . import config as configmod
 from .control import ControlProblem, beta_sweep, closed_loop_solve, synthesize_control
 from .errors import (ConfigError, DomainError, ModelValidationError,
                      OuterLoopDivergenceError, PicardDivergenceError)
-from .fractional import SampledFunction, convolution_kernel, frac_integral
-from .gammafn import gamma
 from .solver import picard_solve
 from .spectral import synthesize_physical
-from .special import (density_rule, ml, s_alpha_route_quadrature,
-                      t_alpha_route_quadrature, wright_moment, wright_pdf)
 
 _ENV_OUT = "FRACSTEER_OUT"
 
@@ -91,16 +86,21 @@ def _meta(cfg) -> list:
             ("n_steps", cfg.solver.n_steps)]
 
 
+def _free_divergence(cfg, out_dir, command, csv_name, exc) -> int:
+    """A diverged uncontrolled solve: its history in the CSV, exit status 1."""
+    _write_csv(os.path.join(out_dir, csv_name), _meta(cfg),
+               ["iteration", "picard_change"],
+               list(enumerate(exc.residual_history)),
+               trailer=[("error", "picard-divergence")])
+    print(f"{command}: {exc}", file=sys.stderr)
+    return 1
+
+
 def run_simulate(cfg, out_dir) -> int:
     try:
         traj = picard_solve(cfg.model, cfg.solver)
     except PicardDivergenceError as exc:
-        _write_csv(os.path.join(out_dir, "simulate.csv"), _meta(cfg),
-                   ["iteration", "picard_change"],
-                   list(enumerate(exc.residual_history)),
-                   trailer=[("error", "picard-divergence")])
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 1
+        return _free_divergence(cfg, out_dir, "simulate", "simulate.csv", exc)
     header = (["t"] + [f"mode_{i}" for i in range(1, traj.truncation + 1)]
               + [f"x_{_fmt(x)}" for x in cfg.x_points])
     # Python floats, so each value formats directly
@@ -140,7 +140,11 @@ def run_sweep(cfg, out_dir) -> int:
     cp = ControlProblem(model=cfg.model, target=cfg.target, beta=cfg.betas[0],
                         outer_tol=cfg.outer_tol,
                         outer_max_iters=cfg.outer_max_iters)
-    report = beta_sweep(cp, cfg.betas, cfg.solver)
+    try:
+        report = beta_sweep(cp, cfg.betas, cfg.solver)
+    except PicardDivergenceError as exc:
+        # only the uncontrolled solve escapes; each beta flags its own
+        return _free_divergence(cfg, out_dir, "sweep", "sweep.csv", exc)
     rows = list(zip(report.betas, report.residuals,
                     report.control_energies, report.converged))
     _write_csv(os.path.join(out_dir, "sweep.csv"),
@@ -149,65 +153,9 @@ def run_sweep(cfg, out_dir) -> int:
     return 0 if all(report.converged) else 1
 
 
-def _kernel_checks():
-    """(name, measured_error, threshold) rows for the property suite."""
-    rows = []
-    for a in (0.3, 0.5, 0.7, 0.9):
-        _, w = density_rule(a)
-        rows.append((f"density_normalization_alpha_{a}", abs(w.sum() - 1.0), 1e-6))
-
-    thetas = np.linspace(0.05, 5.0, 50)
-    closed = np.exp(-thetas ** 2 / 4.0) / math.sqrt(math.pi)
-    got = np.array([wright_pdf(0.5, th) for th in thetas])
-    rows.append(("density_half_order_closed_form",
-                 float(np.max(np.abs(got - closed))), 1e-8))
-
-    grid = np.linspace(0.01, 20.0, 500)
-    worst = 0.0
-    for a in (0.3, 0.5, 0.7, 0.9):
-        vals = np.array([wright_pdf(a, th) for th in grid])
-        worst = max(worst, float(max(0.0, -vals.min())))
-    rows.append(("density_nonnegative", worst, 0.0))
-
-    th, w = density_rule(0.7)
-    for nu in (0.5, 1.0, 2.0):
-        rows.append((f"density_moment_nu_{nu}",
-                     abs(w @ th ** nu - wright_moment(0.7, nu)), 1e-6))
-
-    for a, x in ((0.5, 1.0), (0.7, 2.0)):
-        rows.append((f"bridge_first_kind_alpha_{a}",
-                     abs(s_alpha_route_quadrature(a, x) - ml(a, 1.0, -x)), 1e-7))
-        rows.append((f"bridge_second_kind_alpha_{a}",
-                     abs(t_alpha_route_quadrature(a, x) - ml(a, a, -x)), 1e-7))
-
-    # singular weights exact on linear integrands
-    worst = 0.0
-    for a in (0.3, 0.5, 0.8, 1.0):
-        n, dt = 64, 1.0 / 64
-        s = dt * np.arange(n + 1)
-        t = 1.0
-        got = convolution_kernel(a, n, dt).row(n) @ (2.0 + 3.0 * s)
-        exact = (2.0 * t ** a / a
-                 + 3.0 * (t ** (a + 1.0) / a - t ** (a + 1.0) / (a + 1.0)))
-        worst = max(worst, abs(got - exact) / abs(exact))
-    rows.append(("singular_weights_linear_exactness", worst, 1e-12))
-
-    f = SampledFunction(0.0, 1.0 / 128, np.ones(129))
-    rows.append(("fractional_integral_constant",
-                 abs(frac_integral(f, 0.5, 1.0) - 1.0 / gamma(1.5)), 1e-12))
-
-    worst1 = worst2 = 0.0
-    for a in (0.5, 0.75, 0.9):
-        for x in (0.1, 1.0, 10.0, 100.0):
-            worst1 = max(worst1, ml(a, 1.0, -x) - 1.0, -ml(a, 1.0, -x))
-            worst2 = max(worst2, ml(a, a, -x) - 1.0 / gamma(a))
-    rows.append(("ml_first_kind_bound", max(0.0, worst1), 0.0))
-    rows.append(("ml_second_kind_bound", max(0.0, worst2), 0.0))
-    return rows
-
-
 def run_verify_kernels(cfg, out_dir) -> int:
-    rows = _kernel_checks()
+    from .verify import kernel_checks  # the oracles load for this command only
+    rows = kernel_checks()
     table = [(name, err, thr, "pass" if err <= thr else "fail")
              for name, err, thr in rows]
     _write_csv(os.path.join(out_dir, "verify_kernels.csv"), _meta(cfg),

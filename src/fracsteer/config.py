@@ -10,7 +10,6 @@ violated hypothesis; ``to_text`` re-emits a canonical form whose parse
 yields an identical configuration.
 """
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ModelValidationError
 from .solver import SolverConfig, time_grid
-from .special import ML_NEG_Z_LIMIT
+from .special import ML_NEG_Z_LIMIT, gauss_legendre
 from .spectral import DelayFn, ModelSpec, NonlinearityFn, SpectralState
 
 _SECTIONS = {
@@ -32,17 +31,6 @@ _SECTIONS = {
 }
 
 _GAUSS_NODES = 400
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_rule():
-    """Gauss-Legendre nodes and weights mapped to [0, pi], built once."""
-    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-    x = 0.5 * math.pi * (nodes + 1.0)
-    w = 0.5 * math.pi * weights
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
 
 
 @dataclass(frozen=True)
@@ -68,6 +56,14 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
+
+
+def _finite(text: str) -> float:
+    """Every float of the format: NaN and infinities are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
 
 
 def _split_top(text: str):
@@ -101,7 +97,7 @@ def _call_form(text: str):
     if not text.endswith(")"):
         raise ValueError(f"malformed descriptor {text!r}")
     name, inner = text[:-1].split("(", 1)
-    args = [float(a) for a in inner.split(",")] if inner.strip() else []
+    args = [_finite(a) for a in inner.split(",")] if inner.strip() else []
     return name.strip(), args
 
 
@@ -129,7 +125,8 @@ def synthesize_shape(spec: str, n: int) -> np.ndarray:
         center, width = args
         if width <= 0.0:
             raise ValueError("gaussian_bump width must be positive")
-        x, w = _gauss_rule()
+        s, w = gauss_legendre(_GAUSS_NODES)
+        x, w = math.pi * s, math.pi * w
         f = np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
         modes = np.arange(1, n + 1)
         basis = math.sqrt(2.0 / math.pi) * np.sin(np.outer(modes, x))
@@ -186,13 +183,13 @@ def _parse_pairs(text: str):
     pairs = []
     for item in _split_top(text):
         c, t = item.split(":")
-        pairs.append((float(c), float(t)))
+        pairs.append((_finite(c), _finite(t)))
     return pairs
 
 
 def _parse_betas(text: str) -> tuple:
     """Tikhonov weights: positive and strictly decreasing, as the sweep needs."""
-    betas = tuple(float(b) for b in _split_top(text))
+    betas = tuple(_finite(b) for b in _split_top(text))
     if not betas:
         raise ValueError("needs at least one value")
     if not all(b > 0.0 for b in betas):
@@ -252,9 +249,9 @@ class _SectionReader:
         try:
             return cast(raw)
         except ValueError:
-            raise ConfigError(
-                f"[{self.name}] {key}: not a valid {cast.__name__}: {raw!r}",
-                line=self.line(key)) from None
+            kind = "int" if cast is int else "finite number"
+            raise ConfigError(f"[{self.name}] {key}: not a valid {kind}: {raw!r}",
+                              line=self.line(key)) from None
 
 
 def parse_config(text: str, overrides=None) -> ExperimentConfig:
@@ -273,8 +270,8 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     control = _SectionReader("control", raw.get("control", {}), lines)
     output = _SectionReader("output", raw.get("output", {}), lines)
 
-    alpha = model.number("alpha", float, required=True)
-    horizon = model.number("horizon", float, default=1.0)
+    alpha = model.number("alpha", _finite, required=True)
+    horizon = model.number("horizon", _finite, default=1.0)
     n = model.number("truncation", int, required=True)
 
     def item(reader, key, fn, default=None, required=False):
@@ -294,7 +291,7 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     eig_raw = model.get("eigenvalues", default="default")
     eigenvalues = (None if eig_raw.strip() == "default"
                    else item(model, "eigenvalues",
-                             lambda s: np.array([float(v) for v in _split_top(s)])))
+                             lambda s: np.array([_finite(v) for v in _split_top(s)])))
     u0 = item(model, "u0", lambda s: SpectralState(synthesize_shape(s, n)),
               default=SpectralState.zero(n))
     v0 = item(model, "v0", lambda s: SpectralState(synthesize_shape(s, n)),
@@ -331,7 +328,7 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     try:
         solver_cfg = SolverConfig(
             n_steps=solver.number("n_steps", int, default=128),
-            picard_tol=solver.number("picard_tol", float, default=1e-10),
+            picard_tol=solver.number("picard_tol", _finite, default=1e-10),
             picard_max_iters=solver.number("picard_max_iters", int, default=200))
     except DomainError as exc:
         raise ConfigError(f"[solver]: {exc}") from None
@@ -351,7 +348,7 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
                   lambda s: SpectralState(synthesize_shape(s, n)),
                   default=SpectralState.zero(n))
     betas = item(control, "betas", _parse_betas, default=(1e-1, 1e-2, 1e-3, 1e-4))
-    outer_tol = control.number("outer_tol", float, default=1e-8)
+    outer_tol = control.number("outer_tol", _finite, default=1e-8)
     if not outer_tol > 0.0:
         raise ConfigError(f"[control] outer_tol: must be positive, got {outer_tol!r}",
                           line=control.line("outer_tol"))
@@ -364,7 +361,7 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     out_dir = output.get("dir", default="out")
     x_points = item(output, "x_points",
                     lambda s: (tuple() if s.strip() == "none"
-                               else tuple(float(v) for v in _split_top(s))),
+                               else tuple(_finite(v) for v in _split_top(s))),
                     default=())
 
     canonical = (

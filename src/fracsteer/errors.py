@@ -9,10 +9,6 @@ class GridMismatchError(ValueError):
     """A requested time does not lie on the uniform sample grid."""
 
 
-class InsufficientDataError(ValueError):
-    """Too few samples for the requested discrete operation."""
-
-
 class ModelValidationError(ValueError):
     """A model configuration violates one of its construction-time checks.
 

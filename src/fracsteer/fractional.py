@@ -16,10 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, InsufficientDataError
-from .gammafn import gamma
-
-_GRID_RTOL = 1e-9
+from .errors import DomainError
 
 
 def _as_alpha(order) -> float:
@@ -28,34 +25,6 @@ def _as_alpha(order) -> float:
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"fractional order must lie in (0, 1], got {alpha}")
     return alpha
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """Uniformly sampled scalar function on [t0, t0 + n*dt]."""
-
-    t0: float
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
-        if self.values.ndim != 1 or self.values.size < 2:
-            raise InsufficientDataError("need at least 2 samples on a 1-d grid")
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.size - 1
-
-    def index_of(self, t: float) -> int:
-        """Grid index of t, or GridMismatchError if t is off-grid."""
-        x = (t - self.t0) / self.dt
-        i = int(round(x))
-        if abs(x - i) > _GRID_RTOL * max(1.0, abs(x)) or not (0 <= i <= self.n_steps):
-            raise GridMismatchError(f"t={t} is not on the grid (t0={self.t0}, dt={self.dt})")
-        return i
 
 
 @dataclass(frozen=True)
@@ -114,12 +83,3 @@ def convolution_kernel(order, n_steps: int, dt: float) -> ConvolutionKernel:
     last = scale * g_right[0]
     return ConvolutionKernel(n_steps, first, lag, last)
 
-
-def frac_integral(f: SampledFunction, order, t: float) -> float:
-    """Riemann-Liouville integral (I^alpha f)(t) at a grid time t > t0."""
-    alpha = _as_alpha(order)
-    m = f.index_of(t)
-    if m < 1:
-        raise GridMismatchError(f"t={t} must exceed the grid origin {f.t0}")
-    w = convolution_kernel(alpha, m, f.dt).row(m)
-    return float(w @ f.values[:m + 1]) / gamma(alpha)

@@ -3,21 +3,19 @@
 Two independent routes are maintained on purpose:
 
 * the probability density ``wright_pdf`` (power series, switching to a
-  single-integral stable-law representation where the alternating series
-  cancels), whose theta-integrals against exp(z*theta) define the
-  fractional operator families, and
+  single-integral stable-law representation on a fixed Gauss-Legendre
+  rule where the alternating series cancels), whose theta-integrals
+  against exp(z*theta) define the fractional operator families, and
 * ``ml``, the production route for the same operator eigenvalue
   factors, evaluated by the large-|z| expansion where its truncation
   error is certified below double rounding, by power series where that
   is safe in double precision, and otherwise by a trapezoid rule on a
   parabolic Hankel contour in numpy (orders up to 0.999) or, for
   0.999 < alpha < 1, by a real integral representation on the negative
-  axis, the one route here that loads scipy.  The density's integral
-  route and the theta-integrals of the quadrature oracles use fixed
-  Gauss-Legendre rules in numpy.
+  axis, the one route here that loads scipy.
 
-The test suite ties the two routes together through the Laplace-type
-identities  int zeta_a(th) e^{-x th} dth = E_{a,1}(-x)  and
+The density is an oracle only: ``fracsteer.verify`` ties the two routes
+together through  int zeta_a(th) e^{-x th} dth = E_{a,1}(-x)  and
 a int th zeta_a(th) e^{-x th} dth = E_{a,a}(-x).
 """
 
@@ -33,9 +31,8 @@ from .gammafn import gamma, log_gamma, rgamma
 
 _SERIES_MAX_TERMS = 500
 # Gauss-Legendre nodes of the stable-law integral over [0, pi] (192 miss
-# the series by 1.6e-8 at alpha = 0.8) and of theta-integrals (theta_rule)
+# the series by 1.6e-8 at alpha = 0.8)
 _DENSITY_NODES = 256
-_THETA_NODES = 64
 _EXP_UNDERFLOW = 745.0  # e^-x underflows past this
 _SERIES_TAIL_RTOL = 1e-16
 # reject a double-precision alternating sum once the largest term exceeds
@@ -119,10 +116,13 @@ def _wright_series_double(alpha: float, theta: float):
 
 
 @lru_cache(maxsize=None)
-def _legendre(n: int):
-    """Gauss-Legendre nodes and weights of order n on [0, 1], built once."""
+def gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights of order n on [0, 1], built once;
+    the arrays are shared by every caller, so they are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    s, w = 0.5 * (x + 1.0), 0.5 * w
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
 
 
 def _wright_integral(alpha: float, theta: float) -> float:
@@ -140,7 +140,7 @@ def _wright_integral(alpha: float, theta: float) -> float:
     """
     one = 1.0 - alpha
     ratio = alpha / one
-    s, w = _legendre(_DENSITY_NODES)
+    s, w = gauss_legendre(_DENSITY_NODES)
     u = math.pi * s
     ln_a = (ratio * np.log(np.sin(alpha * u)) + np.log(np.sin(one * u))
             - np.log(np.sin(u)) / one)
@@ -164,14 +164,6 @@ def wright_pdf(alpha, theta: float) -> float:
     if value is not None and max_abs <= _CANCELLATION_LIMIT * max(abs(value), 1e-300):
         return value
     return _wright_integral(a, theta)
-
-
-def wright_moment(alpha, nu: float) -> float:
-    """Moment int_0^inf theta^nu zeta_alpha(theta) dtheta = G(1+nu)/G(1+a*nu)."""
-    a = _as_alpha(alpha)
-    if nu < 0.0:
-        raise DomainError(f"nu must be nonnegative, got {nu}")
-    return gamma(1.0 + nu) / gamma(1.0 + a * nu)
 
 
 def _ml_series_double(alpha: float, beta: float, z: float):
@@ -390,35 +382,3 @@ def _ml_values(alpha: float, beta: float, zbytes: bytes) -> np.ndarray:
         out[i] = ml(alpha, beta, float(flat[i]))
     out.flags.writeable = False
     return out
-
-
-def theta_rule(cut: float):
-    """Nodes th and weights w with sum w g(th) ~ int_0^cut g(th) dth, by
-    Gauss-Legendre in s on [0, 1] at th = cut s^2: th^{1/2} zeta_a is smooth in s."""
-    s, w = _legendre(_THETA_NODES)
-    return cut * s * s, 2.0 * cut * s * w
-
-
-def density_rule(alpha):
-    """Nodes th and weights w with sum w g(th) ~ int_0^inf g(th) zeta_a(th) dth."""
-    a = _as_alpha(alpha)
-    # truncating where the density is ~1e-20 keeps the tail error far
-    # below the 1e-7 bridge tolerance without deep-tail evaluations
-    th, w = theta_rule(underflow_cutoff(a, 45.0))
-    return th, w * np.array([wright_pdf(a, t) for t in th])
-
-
-def _route_quadrature(alpha: float, x: float, power: int) -> float:
-    """a^power int_0^inf th^power zeta_a(th) e^{-x th} dth, on ``density_rule``."""
-    th, w = density_rule(alpha)
-    return _as_alpha(alpha) ** power * float(w @ (th ** power * np.exp(-x * th)))
-
-
-def s_alpha_route_quadrature(alpha: float, x: float) -> float:
-    """Oracle: int_0^inf zeta_a(th) e^{-x th} dth, the S_alpha eigenfactor."""
-    return _route_quadrature(alpha, x, 0)
-
-
-def t_alpha_route_quadrature(alpha: float, x: float) -> float:
-    """Oracle: a int_0^inf th zeta_a(th) e^{-x th} dth, the T_alpha eigenfactor."""
-    return _route_quadrature(alpha, x, 1)

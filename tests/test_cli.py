@@ -148,6 +148,19 @@ class TestSweep:
         assert res[1] < res[0] < float(meta["uncontrolled_gap"])
         assert all(r[3] == "1" for r in rows)
 
+    def test_free_solve_divergence_exit_code_and_diagnostic(self, tmp_path, capsys):
+        # the uncontrolled solve runs before the per-beta loop; its
+        # divergence is reported as simulate reports it
+        cfg = _cfg_file(tmp_path, DIVERGENT)
+        out = str(tmp_path / "o")
+        assert main(["--config", cfg, "--out", out, "sweep"]) == 1
+        meta, header, rows = _read_csv(os.path.join(out, "sweep.csv"))
+        assert meta["error"] == "picard-divergence"
+        assert header == ["iteration", "picard_change"]
+        assert len(rows) == 40
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: ") and err.count("\n") == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _cfg_file(tmp_path, SMALL)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -235,6 +248,7 @@ class TestUsageErrors:
         ("--steps", "4", "n_steps"),
         ("--beta", "0.01,0.1", "betas"),
         ("--beta", "0.1,abc", "betas"),
+        ("--beta", "inf,0.1", "betas"),
     ])
     def test_bad_override_exits_2(self, tmp_path, flag, value, key):
         status, output = _run_cli("--out", str(tmp_path), flag, value, "simulate")
@@ -313,18 +327,21 @@ class TestImports:
     def test_shipped_config_runs_without_scipy(self, tmp_path, command):
         # at alpha = 0.5 the Mittag-Leffler band goes to the numpy contour
         # rule, and the density and its oracle integrals use fixed
-        # Gauss-Legendre rules; scipy serves only 0.999 < alpha < 1
+        # Gauss-Legendre rules; scipy serves only 0.999 < alpha < 1.  The
+        # oracle module itself loads for verify-kernels only.
         cfg = str(resources.files("fracsteer") / "data" / "default.cfg")
         code = ("import sys\n"
                 "import fracsteer.cli\n"
                 f"fracsteer.cli.main(['--config', {cfg!r}, '--out',"
                 f" {str(tmp_path)!r}, '--steps', '16', {command!r}])\n"
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+                "print('fracsteer.verify' in sys.modules)\n")
         env = dict(os.environ, PYTHONPATH=SRC)
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120,
                               check=True)
-        assert done.stdout.split("\n")[-2] == "[]"
+        assert done.stdout.split("\n")[-3:-1] == [
+            "[]", str(command == "verify-kernels")]
 
     def test_simulate_leaves_scipy_fft_unimported(self, tmp_path):
         # the memory convolution runs on numpy.fft, which loads on first

@@ -101,6 +101,35 @@ class TestDiagnostics:
         assert "nonlinearity" in str(e.value)
 
 
+class TestNonFiniteNumbers:
+    # every float of the format goes through one check; before it, these
+    # diverged, failed inside the solver or ran to NaN columns
+    @pytest.mark.parametrize("key, old, new", [
+        ("alpha", "alpha = 0.5", "alpha = nan"),
+        ("horizon", "horizon = 1.0", "horizon = inf"),
+        ("eigenvalues", "eigenvalues = default", "eigenvalues = nan, 4, 9"),
+        ("u0", "gaussian_bump(1.0, 0.35)", "gaussian_bump(inf, 0.35)"),
+        ("state_delays", "state_delays = scaled_sine(1)",
+         "state_delays = scaled_sine(nan)"),
+        ("control_delays", "control_delays = scaled_sine(1), identity",
+         "control_delays = constant_lag(nan), identity"),
+        ("nonlocal_terms", "0.1:0.25", "nan:0.25"),
+        ("nonlinearity", "bounded_tanh(0.1)", "bounded_tanh(nan)"),
+        ("picard_tol", "picard_tol = 1e-10", "picard_tol = inf"),
+        ("betas", "betas = 0.1,", "betas = inf,"),
+        ("outer_tol", "outer_tol = 1e-8", "outer_tol = inf"),
+        ("x_points", "x_points = 0.78539816339744828", "x_points = nan"),
+        ("x_points", "x_points = 0.78539816339744828", "x_points = -inf"),
+    ])
+    def test_rejected_with_key(self, key, old, new):
+        text = _default_text()
+        assert old in text
+        with pytest.raises(ConfigError) as e:
+            parse_config(text.replace(old, new, 1))
+        assert key in str(e.value)
+        assert "finite" in str(e.value)
+
+
 class TestControlValues:
     @pytest.mark.parametrize("key, value", [
         ("betas", "0.01, 0.1"),

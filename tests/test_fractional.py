@@ -5,20 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from fracsteer.errors import DomainError, GridMismatchError
-from fracsteer.fractional import (SampledFunction, _as_alpha,
-                                  convolution_kernel, frac_integral)
+from fracsteer.errors import DomainError
+from fracsteer.fractional import _as_alpha, convolution_kernel
 from fracsteer.gammafn import gamma
-
-
-def _sampled(fn, n=256, t0=0.0, t1=1.0):
-    dt = (t1 - t0) / n
-    return SampledFunction(t0, dt, fn(t0 + dt * np.arange(n + 1)))
 
 
 def _weights(alpha, n, dt):
     """Product-trapezoidal weights of the target time n * dt."""
     return convolution_kernel(alpha, n, dt).row(n)
+
+
+def _rl_integral(alpha, values, dt):
+    """Riemann-Liouville integral (I^alpha f)(n dt) of the samples f(k dt),
+    k = 0..n: the weight row of the last node over Gamma(alpha)."""
+    n = len(values) - 1
+    return float(_weights(alpha, n, dt) @ values) / gamma(alpha)
+
+
+def _grid(n=256):
+    return np.arange(n + 1) / n
 
 
 class TestFracOrder:
@@ -77,44 +82,33 @@ class TestConvolutionKernel:
 
 class TestFracIntegral:
     def test_constant_half_order(self):
-        f = _sampled(lambda t: np.ones_like(t))
-        assert frac_integral(f, 0.5, 1.0) == pytest.approx(1.0 / gamma(1.5),
-                                                           rel=1e-12)
+        got = _rl_integral(0.5, np.ones(257), 1.0 / 256)
+        assert got == pytest.approx(1.0 / gamma(1.5), rel=1e-12)
 
     def test_alpha_one_is_plain_integral(self):
-        f = _sampled(lambda t: 2.0 * np.ones_like(t))
-        assert frac_integral(f, 1.0, 1.0) == pytest.approx(2.0, rel=1e-13)
+        assert _rl_integral(1.0, np.full(257, 2.0), 1.0 / 256) == pytest.approx(
+            2.0, rel=1e-13)
 
     def test_linear_half_order(self):
-        f = _sampled(lambda t: t)
         # I^{1/2} t = Gamma(2)/Gamma(2.5) t^{3/2}
-        assert frac_integral(f, 0.5, 1.0) == pytest.approx(
+        assert _rl_integral(0.5, _grid(), 1.0 / 256) == pytest.approx(
             gamma(2.0) / gamma(2.5), rel=1e-12)
 
-    def test_off_grid_time_rejected(self):
-        f = _sampled(lambda t: t, n=64)
-        with pytest.raises(GridMismatchError):
-            frac_integral(f, 0.5, 0.51234)
-        with pytest.raises(GridMismatchError):
-            frac_integral(f, 0.5, 0.0)
-
     def test_bad_order_rejected(self):
-        f = _sampled(lambda t: t, n=64)
         with pytest.raises(DomainError):
-            frac_integral(f, 1.5, 0.5)
+            convolution_kernel(1.5, 64, 1.0 / 64)
 
     def test_semigroup_of_integrals(self):
         # I^a (I^b f) = I^{a+b} f with observed order >= 1
         a, b = 0.4, 0.35
         errs = []
         for n in (64, 128):
-            f = _sampled(np.sin, n=n)
-            grid = f.dt * np.arange(n + 1)
+            f = np.sin(_grid(n))
             inner = np.zeros(n + 1)
             for m in range(1, n + 1):
-                inner[m] = frac_integral(f, b, grid[m])
-            nested = frac_integral(SampledFunction(0.0, f.dt, inner), a, 1.0)
-            direct = frac_integral(f, a + b, 1.0)
+                inner[m] = _rl_integral(b, f[:m + 1], 1.0 / n)
+            nested = _rl_integral(a, inner, 1.0 / n)
+            direct = _rl_integral(a + b, f, 1.0 / n)
             errs.append(abs(nested - direct))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.0

@@ -12,23 +12,41 @@ from fracsteer import special
 from fracsteer.errors import DomainError
 from fracsteer.gammafn import gamma, rgamma
 from fracsteer.special import (ML_NEG_Z_LIMIT, _wright_integral,
-                               _wright_series_double, ml, ml_array,
-                               s_alpha_route_quadrature,
-                               t_alpha_route_quadrature, theta_rule,
-                               underflow_cutoff, wright_moment, wright_pdf)
+                               _wright_series_double, gauss_legendre, ml,
+                               ml_array, underflow_cutoff, wright_pdf)
+from fracsteer.verify import route_quadrature, theta_rule, wright_moment
+
+
+_SERIES_MP_MAX_TERMS = 10_000
 
 
 def _ml_series_mp(alpha, beta, z):
-    # precision sized to the worst-case cancellation of the power series
-    kstar = abs(z) ** (1.0 / alpha)
-    dps = 60 + int(0.6 * kstar * math.log10(max(abs(z), 2.0)))
-    terms = 200 + int(8 * kstar)
-    with mp.workdps(dps):
+    """E_{alpha,beta}(z) by its power series in mpmath.
+
+    The log-magnitudes of the terms, from lgamma in doubles, are concave
+    in k: they rise to one peak and fall.  The sum runs past the peak
+    until the terms drop 30 digits below min(largest term, 1), at 40
+    digits plus the decimal exponent of the largest term, which covers
+    its cancellation; a series longer than the term cap raises instead of
+    returning a partial sum.
+    """
+    if z == 0.0:
+        return float(mp.rgamma(beta))
+    ln_z, ln_10 = math.log(abs(z)), math.log(10.0)
+
+    def ln_term(k):
+        return k * ln_z - math.lgamma(alpha * k + beta)
+
+    peak, terms = ln_term(0), 1
+    while ln_term(terms) >= min(peak, 0.0) - 30 * ln_10:
+        peak = max(peak, ln_term(terms))
+        terms += 1
+        if terms > _SERIES_MP_MAX_TERMS:
+            raise ValueError(f"E_{{{alpha},{beta}}}({z}): series longer than "
+                             f"{_SERIES_MP_MAX_TERMS} terms")
+    with mp.workdps(40 + max(0, math.ceil(peak / ln_10))):
         a, b, zz = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
-        total = mp.mpf(0)
-        for k in range(terms):
-            total += zz ** k / mp.gamma(a * k + b)
-        return float(total)
+        return float(mp.fsum(zz ** k / mp.gamma(a * k + b) for k in range(terms)))
 
 
 def _wright_integral_quad(alpha, theta):
@@ -149,6 +167,14 @@ class TestDensity:
     def test_integral_route_matches_quadrature_grid(self):
         points = _integral_route_points((0.3, 0.5, 0.7, 0.9, 0.95, 0.99), 2000)
         assert self._check_integral_route(points) > 5000
+
+    def test_gauss_legendre_is_shared_and_read_only(self):
+        s, w = gauss_legendre(64)
+        assert gauss_legendre(64)[0] is s
+        assert w.sum() == pytest.approx(1.0, rel=1e-14)
+        for arr in (s, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_theta_rule_closed_form(self):
         # int_0^c e^{-th^2/4} / sqrt(pi) dth = erf(c/2)
@@ -303,6 +329,17 @@ def _ml_oracle_mp(a, b, x):
 
 
 class TestOracle:
+    def test_series_runs_past_its_peak(self):
+        # the terms of E_{0.1,2.1}(-1.5) peak near 1e22 at k ~ 560; a sum
+        # sized from |z|^{1/alpha} stopped at k = 660 and returned 1.48e21
+        assert _ml_series_mp(0.1, 2.1, -1.5) == pytest.approx(
+            0.3932964181501194, rel=1e-15)
+        assert _ml_oracle(0.1, 2.1, -1.5) == pytest.approx(
+            0.3932964181501194, rel=1e-15)
+        # at -3.0 the peak lies near k = 590,000, past the term cap
+        with pytest.raises(ValueError):
+            _ml_series_mp(0.1, 2.1, -3.0)
+
     def test_small_argument_past_the_recurrence(self):
         # at alpha = 0.1, beta = 2.1 the recurrence takes ten steps; 80-digit
         # series values, which the integral route missed by a factor of
@@ -468,7 +505,7 @@ class TestRouteQuadratures:
         for _ in range(20):
             a = rng.uniform(0.3, 0.95)
             x = rng.uniform(0.1, 30.0)
-            assert s_alpha_route_quadrature(a, x) == pytest.approx(
+            assert route_quadrature(a, x, 0) == pytest.approx(
                 ml(a, 1.0, -x), abs=1e-7, rel=1e-7)
-            assert t_alpha_route_quadrature(a, x) == pytest.approx(
+            assert route_quadrature(a, x, 1) == pytest.approx(
                 ml(a, a, -x), abs=1e-7, rel=1e-7)
