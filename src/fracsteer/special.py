@@ -49,6 +49,12 @@ ML_NEG_Z_LIMIT = 1e4
 # O(1) terms cancel down to a value near e^{-|z|}
 _ASYMPTOTIC_TERMS = 24
 _ASYMPTOTIC_MAX_ALPHA = 0.999
+# the beta >= 1 + alpha reduction steps beta down by alpha, each level
+# with a series attempt; ml gives up past this many levels.  Config
+# parsing rejects orders below ML_MIN_ALPHA, where the deepest weight the
+# solver needs, beta = alpha + 2, takes about 1 / alpha levels
+_ML_MAX_LEVELS = 4096
+ML_MIN_ALPHA = 5e-4
 # parabolic contour s(u) = mu (1 + iu)^2 of Garrappa's trapezoid rule
 # (SIAM J. Numer. Anal. 53(3), 2015), at u = kh for |k| <= 27: for z < 0
 # and alpha < 1 no pole of s^(alpha - beta) / (s^alpha - z) lies on the
@@ -315,7 +321,8 @@ def ml(alpha: float, beta: float, z: float) -> float:
     Supported for 0 < alpha <= 1, beta > 0 and -ML_NEG_Z_LIMIT <= z <= 0.
     Routes, in order: 1/Gamma(beta) at z = 0; exp at alpha = beta = 1;
     the large-|z| expansion from its reach; the power series for
-    |z| <= 10 where it does not cancel; the reduction of beta >= 1 + alpha;
+    |z| <= 10 where it does not cancel; the reduction of beta >= 1 + alpha
+    (a DomainError past _ML_MAX_LEVELS levels);
     then the contour rule for alpha <= 0.999 and the negative-axis
     integral for 0.999 < alpha < 1.
     """
@@ -329,6 +336,27 @@ def ml(alpha: float, beta: float, z: float) -> float:
             f"z={z} outside the supported range [{-ML_NEG_Z_LIMIT:g}, 0]")
     if z == 0.0:
         return rgamma(beta)
+    # where no route takes beta >= 1 + alpha, reduce the second parameter
+    # with E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, which at alpha = 1
+    # ends in the exp shortcut for every integer beta; a loop, since small
+    # alpha takes about 1/alpha steps
+    reduced = []
+    value = _ml_route(alpha, beta, z)
+    while value is None:
+        if len(reduced) == _ML_MAX_LEVELS:
+            raise DomainError(f"reducing beta={reduced[0]} by alpha={alpha} "
+                              f"takes more than {_ML_MAX_LEVELS} levels")
+        reduced.append(beta)
+        beta = beta - alpha
+        value = _ml_route(alpha, beta, z)
+    for b in reversed(reduced):
+        value = (value - rgamma(b - alpha)) / z
+    return value
+
+
+def _ml_route(alpha: float, beta: float, z: float):
+    """E_{alpha,beta}(z) for z < 0 by the first route that takes it, or
+    None where beta >= 1 + alpha must be reduced first."""
     if alpha == 1.0 and beta == 1.0:
         return math.exp(z)
     coeffs, reach = _asymptotic_plan(alpha, beta)
@@ -339,11 +367,7 @@ def ml(alpha: float, beta: float, z: float) -> float:
         if attempt is not None and max_abs <= _ML_CANCELLATION_LIMIT * max(abs(attempt), 1e-300):
             return attempt
     if beta >= 1.0 + alpha - 1e-12:
-        # outside the integral's validity; reduce the second parameter
-        # with E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, which at
-        # alpha = 1 ends in the exp shortcut for every integer beta
-        lower = ml(alpha, beta - alpha, z)
-        return (lower - rgamma(beta - alpha)) / z
+        return None  # outside the integral's validity
     if alpha == 1.0:
         # both representations below need alpha < 1
         raise DomainError(

@@ -285,6 +285,45 @@ class TestUsageErrors:
         assert len(rows) == 17
 
 
+TINY_ALPHA = """
+[model]
+alpha = 0.0009
+truncation = 1
+u0 = single_mode(1, 1.0)
+state_delays = scaled_sine(1)
+nonlinearity = bounded_tanh(0.1)
+
+[solver]
+n_steps = 8
+"""
+
+
+class TestAcceptedConfigs:
+    def test_tiny_alpha_runs(self, tmp_path):
+        # the memory weights need E_{a,a+1} and E_{a,a+2}, whose reduction
+        # to beta < 1 + a takes about 1/a steps, more than the interpreter's
+        # recursion limit allows
+        cfg = _cfg_file(tmp_path, TINY_ALPHA)
+        assert main(["--config", cfg, "--out", str(tmp_path), "simulate"]) == 0
+        _, _, rows = _read_csv(os.path.join(tmp_path, "simulate.csv"))
+        assert len(rows) == 9
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("alpha = 0.5", "alpha = 1e-300", "alpha"),
+        ("gaussian_bump(1.0, 0.35)", "single_mode(1.5, 1.0)", "u0"),
+        ("bounded_tanh(0.1)", "bounded_tanh(1e308)", "nonlinearity"),
+    ])
+    def test_config_that_cannot_run_exits_2(self, tmp_path, capsys, old, new, key):
+        shipped = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
+        assert old in shipped
+        cfg = _cfg_file(tmp_path, shipped.replace(old, new, 1))
+        with pytest.raises(SystemExit) as e:
+            main(["--config", cfg, "--out", str(tmp_path), "--steps", "16", "simulate"])
+        assert e.value.code == 2
+        assert f"[model] {key}: " in capsys.readouterr().err
+
+
 class TestRunErrors:
     @pytest.mark.parametrize("command, target, csv_name", [
         ("simulate", "picard_solve", "simulate.csv"),

@@ -1,11 +1,14 @@
 """Configuration text: parsing, validation diagnostics, canonical re-emit."""
 
 import math
+import pathlib
+import re
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from fracsteer import config
 from fracsteer.config import parse_config, synthesize_shape
 from fracsteer.errors import ConfigError
 from fracsteer.solver import picard_solve
@@ -99,6 +102,48 @@ class TestDiagnostics:
         with pytest.raises(ConfigError) as e:
             parse_config(MINIMAL + "nonlinearity = cubic(2)\n")
         assert "nonlinearity" in str(e.value)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_truncation_below_one(self, value):
+        # the shapes are built on the truncation, so it is checked first
+        with pytest.raises(ConfigError) as e:
+            parse_config(f"[model]\nalpha = 0.5\ntruncation = {value}\n")
+        assert "[model] truncation: " in str(e.value)
+        assert e.value.line == 3
+
+    @pytest.mark.parametrize("value", ["1e-300", "0.0004"])
+    def test_order_below_the_floor(self, value):
+        # the Mittag-Leffler reduction of beta = alpha + 2 takes about
+        # 1/alpha steps, and at 1e-300 none of them moves beta
+        with pytest.raises(ConfigError) as e:
+            parse_config(f"[model]\nalpha = {value}\ntruncation = 4\n")
+        assert "[model] alpha: orders below 0.0005" in str(e.value)
+        assert e.value.line == 2
+        assert parse_config("[model]\nalpha = 0.0005\ntruncation = 4\n").model.alpha == 5e-4
+
+    @pytest.mark.parametrize("section, key", [
+        ("model", "u0"), ("model", "v0"), ("control", "target")])
+    def test_non_integer_mode(self, section, key):
+        # a mode is an integer: 1.5 may not run on mode 1 with 1.5 in the digest
+        text = MINIMAL + f"[{section}]\n{key} = single_mode(1.5, 1.0)\n"
+        with pytest.raises(ConfigError) as e:
+            parse_config(text)
+        assert f"[{section}] {key}: " in str(e.value)
+        assert "1.5" in str(e.value)
+        assert e.value.line == 6
+
+    def test_unbounded_tanh_bound(self):
+        # |kappa| sqrt(N) overflows to inf, which would switch off the
+        # solver's (H6) check; at 1e300 the bound stays finite
+        with pytest.raises(ConfigError) as e:
+            parse_config(_default_text().replace("bounded_tanh(0.1)",
+                                                 "bounded_tanh(1e308)"))
+        assert "[model] nonlinearity: " in str(e.value)
+        assert "[violates (H6)]" in str(e.value)
+        assert e.value.line == 17
+        cfg = parse_config(_default_text().replace("bounded_tanh(0.1)",
+                                                   "bounded_tanh(1e300)"))
+        assert cfg.model.nonlinearity.param == 1e300
 
 
 class TestNonFiniteNumbers:
@@ -199,6 +244,15 @@ class TestMittagLefflerRange:
 
 
 class TestCanonicalForm:
+    @pytest.mark.parametrize("text, digest", [
+        (None, "1c31f78a938acd272edb9e451dcade8faaa4fc2d350efae4bb61663b1a4a6d4b"),
+        (MINIMAL, "202b765a1504a0ed09fd2ee58cc78587859348ece771dc69d780d09cd68850e0"),
+    ])
+    def test_pinned_digests(self, text, digest):
+        # the digest stamps every CSV: a change to the canonical text is a
+        # change to every output's metadata
+        assert parse_config(text or _default_text()).digest() == digest
+
     def test_round_trip_is_lossless(self):
         cfg = parse_config(_default_text())
         again = parse_config(cfg.to_text())
@@ -226,8 +280,9 @@ class TestShapes:
         assert np.all(synthesize_shape("zero", 3) == 0.0)
         c = synthesize_shape("single_mode(2, 1.5)", 3)
         assert np.allclose(c, [0.0, 1.5, 0.0])
-        with pytest.raises(ValueError):
-            synthesize_shape("single_mode(5, 1.0)", 3)
+        for mode in ("5", "0", "1.5", "0.999"):
+            with pytest.raises(ValueError, match="not an integer in 1..3"):
+                synthesize_shape(f"single_mode({mode}, 1.0)", 3)
 
     def test_gaussian_bump_coefficients(self):
         # compare the projection against a dense trapezoid quadrature
@@ -243,3 +298,18 @@ class TestShapes:
     def test_unknown_shape(self):
         with pytest.raises(ValueError):
             synthesize_shape("sawtooth(1)", 4)
+
+
+class TestReadme:
+    def test_key_table_matches_the_declarations(self):
+        # README's table of keys lists exactly the keys of ``_KEYS``, in
+        # order, with their defaults
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (required|`[^`]*`) \|",
+                          readme.read_text(), flags=re.MULTILINE)
+        documented = [(section, key, None if default == "required" else default[1:-1])
+                      for section, key, default in rows]
+        declared = [(section, key, entry[2])
+                    for section, keys in config._KEYS.items()
+                    for key, entry in keys.items()]
+        assert documented == declared

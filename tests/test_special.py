@@ -249,6 +249,21 @@ class TestMittagLeffler:
             ref = _ml_series_mp(a, b, z)
             assert ml(a, b, z) == pytest.approx(ref, rel=1e-9)
 
+    def test_small_alpha_reduction(self):
+        # at alpha = 0.0009 the beta >= 1 + alpha reduction takes about 2,200
+        # steps, past the interpreter's recursion limit; references from
+        # _ml_oracle_mp at 40 digits (with a raised recursion limit)
+        for b, z, ref in ((1.0009, -20.0, 0.047620226700092985),
+                          (2.0009, -300.0, 0.0033222549384861796)):
+            assert ml(0.0009, b, z) == pytest.approx(ref, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b", [(1e-300, 1.0), (1e-4, 2.0001)])
+    def test_reduction_gives_up_past_its_level_cap(self, a, b):
+        # 1 + 1e-300 rounds to 1, so there no step moves beta; at 1e-4
+        # beta = a + 2 needs about 10,000 steps
+        with pytest.raises(DomainError, match="levels"):
+            ml(a, b, -20.0)
+
     def test_array_wrapper(self):
         xs = np.array([0.0, 0.5, 3.0, 50.0])
         vals = ml_array(0.6, 0.6, -xs)
