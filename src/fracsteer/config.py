@@ -184,6 +184,8 @@ def _shape(text: str, n: int) -> SpectralState:
 def _multiplier(spec: str, n: int) -> np.ndarray:
     name, args = _call_form(spec)
     modes = np.arange(1, n + 1, dtype=float)
+    if args and name in ("laplacian", "identity", "zero"):
+        raise ValueError(f"{name} takes no parameter")
     if name == "laplacian":
         return -(modes ** 2)
     if name == "identity":
@@ -202,6 +204,8 @@ def _descriptor(cls):
     def parse(text, n=None):
         name, args = _call_form(text)
         if name in _BARE_KINDS:
+            if args:
+                raise ValueError(f"{name} takes no parameter")
             return cls(name)
         if len(args) != 1:
             raise ValueError(f"{name} takes exactly one parameter")
@@ -291,6 +295,22 @@ _KEYS = {
 }
 
 
+def _check_reach(model: dict, t: float, lines: dict):
+    """Reject a model whose stiffest eigenfactor argument -lambda_max t^alpha
+    leaves the validated Mittag-Leffler range (a bad alpha or t is ModelSpec's)."""
+    alpha, lam = model["alpha"], model["eigenvalues"]
+    if not (0.0 < alpha <= 1.0 and t > 0.0):
+        return
+    lam_max = float(model["truncation"]) ** 2 if lam is None else max(lam, default=0.0)
+    z_min = -lam_max * t ** alpha
+    if z_min < -ML_NEG_Z_LIMIT:
+        key = "truncation" if lam is None else "eigenvalues"
+        raise ConfigError(
+            f"[model] {key}: the stiffest mode reaches z = {z_min!r}, beyond "
+            f"the supported Mittag-Leffler range z >= {-ML_NEG_Z_LIMIT:g}",
+            line=lines.get(("model", key)))
+
+
 def _raw_sections(text: str):
     sections, keys = {}, {}
     current = None
@@ -351,22 +371,16 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
                     raise ValueError("required key is missing")
                 parsed[key] = parse(text, values["model"].get("truncation"))
             canonical.append((key, emit(parsed[key], text)))
+            if key == "eigenvalues":  # before any shape is built on the truncation
+                _check_reach(parsed, parsed["horizon"], lines)
         sections.append((section, tuple(canonical)))
     with _reported("[model]"):
         spec = ModelSpec(**values["model"])
     with _reported("[solver]"):
         solver_cfg = SolverConfig(**values["solver"])
-    # the stiffest eigenfactor argument, -lambda_max t^alpha, must stay in
-    # the validated Mittag-Leffler range at the largest time evaluated: the
-    # horizon (steering law) or the last grid node, which can round past it
+    # again at the last grid node, which can round past the horizon
     t_max = max(spec.horizon, time_grid(spec.horizon, solver_cfg.n_steps)[1][-1])
-    z_min = -float(np.max(spec.eigenvalues)) * t_max ** spec.alpha
-    if z_min < -ML_NEG_Z_LIMIT:
-        key = "truncation" if values["model"]["eigenvalues"] is None else "eigenvalues"
-        raise ConfigError(
-            f"[model] {key}: the stiffest mode reaches z = {z_min!r}, beyond "
-            f"the supported Mittag-Leffler range z >= {-ML_NEG_Z_LIMIT:g}",
-            line=lines.get(("model", key)))
+    _check_reach(values["model"], t_max, lines)
     output = values["output"]
     return ExperimentConfig(spec, solver_cfg, **values["control"],
                             output_dir=output["dir"], x_points=output["x_points"],

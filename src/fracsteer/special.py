@@ -10,9 +10,9 @@ Two independent routes are maintained on purpose:
   factors, evaluated by the large-|z| expansion where its truncation
   error is certified below double rounding, by power series where that
   is safe in double precision, and otherwise by a trapezoid rule on a
-  parabolic Hankel contour in numpy (orders up to 0.999) or, for
-  0.999 < alpha < 1, by a real integral representation on the negative
-  axis, the one route here that loads scipy.
+  parabolic Hankel contour (orders up to 0.999) or, for
+  0.999 < alpha < 1, by a Gauss-Legendre panel rule on the real integral
+  representation along the negative axis; all of it in numpy.
 
 The density is an oracle only: ``fracsteer.verify`` ties the two routes
 together through  int zeta_a(th) e^{-x th} dth = E_{a,1}(-x)  and
@@ -20,20 +20,20 @@ a int th zeta_a(th) e^{-x th} dth = E_{a,a}(-x).
 """
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
 from .fractional import _as_alpha
-from .gammafn import gamma, log_gamma, rgamma
+from .gammafn import _sin_pi, gamma, log_gamma, rgamma
 
 _SERIES_MAX_TERMS = 500
 # Gauss-Legendre nodes of the stable-law integral over [0, pi] (192 miss
 # the series by 1.6e-8 at alpha = 0.8)
 _DENSITY_NODES = 256
 _EXP_UNDERFLOW = 745.0  # e^-x underflows past this
+_PANEL_NODES = 64  # Gauss-Legendre nodes per panel of the negative-axis integral
 _SERIES_TAIL_RTOL = 1e-16
 # reject a double-precision alternating sum once the largest term exceeds
 # the result by this factor; the residual roundoff is about 1e-14 times
@@ -199,50 +199,36 @@ def _ml_integral_neg(alpha: float, beta: float, z: float) -> float:
     Real integral representation (Hankel contour collapsed onto the
     negative axis; for beta >= 1 + alpha the collapsing circle leaves a
     residue and the formula no longer holds, so callers reduce that case
-    first).  The algebraic w^(alpha-beta) endpoint factor is handled by
-    a weighted quadrature on [0, 1].
+    first).  With x = -z, c = cos pi(1-a) and s = sin pi(1-a),
+      E = (1/pi) int_0^inf e^-w w^(a-b) (w^a sin pi b + x sin pi(b-a))
+          / ((w^a - x c)^2 + (x s)^2) dw,
+    the denominator written so as not to cancel in its dip near
+    w_d = x^(1/a), of width about w_d pi (1-a).  w = u^p, p = 1/(a-b+1),
+    absorbs the w^(a-b) factor; 64 Gauss-Legendre nodes in u run on each
+    panel between breakpoints in w: geometric, in steps of at most 16 in
+    w and u, from w^a ~ 16^-14 to the underflow of e^-w, and graded by
+    powers of 2 on the dip's width to both sides of w_d.  The nodes are
+    placed in w through log1p and expm1, so they stay accurate when u
+    crowds toward 1 at large p.  Against a 40-digit oracle the relative error
+    is below 1e-12 for 0.999 < a < 1, b = a, 1, 2 - a and 2 <= x <= 1e4.
     """
-    s1 = math.sin(math.pi * (1.0 - beta))
-    s2 = 0.0 if beta == 1.0 + alpha else math.sin(math.pi * (1.0 - beta + alpha))
-    c = math.cos(math.pi * alpha)
-
-    if s2 == 0.0:
-        # the z*s2 term drops and a factor w^alpha moves into the weight
-        exponent = 2.0 * alpha - beta
-
-        def smooth(w):
-            if w > _EXP_UNDERFLOW:
-                return 0.0
-            wa = w ** alpha
-            return math.exp(-w) * s1 / (math.pi * (wa * wa - 2.0 * z * wa * c + z * z))
-    else:
-        exponent = alpha - beta
-
-        def smooth(w):
-            if w > _EXP_UNDERFLOW:
-                return 0.0
-            wa = w ** alpha
-            return (math.exp(-w) * (wa * s1 - z * s2)
-                    / (math.pi * (wa * wa - 2.0 * z * wa * c + z * z)))
-
-    def full(w):
-        return smooth(w) * w ** exponent
-
-    # the 1/(w^2a - 2 z w^a cos(pi a) + z^2) factor dips near |z|^{1/a}
-    wdip = abs(z) ** (1.0 / alpha)
-    pts = [wdip] if 1.0 < wdip < _EXP_UNDERFLOW else None
-    from scipy.integrate import quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if abs(exponent) < 1e-13:
-            head, _ = quad(full, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-        else:
-            head, _ = quad(smooth, 0.0, 1.0, weight="alg", wvar=(exponent, 0.0),
-                           epsabs=1e-14, epsrel=1e-12, limit=200)
-        tail, _ = quad(full, 1.0, _EXP_UNDERFLOW, points=pts,
-                       epsabs=1e-14, epsrel=1e-12, limit=200)
-    return head + tail
+    x, p = -z, 1.0 / (alpha - beta + 1.0)
+    c, s = math.cos(math.pi * (1.0 - alpha)), math.sin(math.pi * (1.0 - alpha))
+    wd = math.exp(min(math.log(x) / alpha, 7.0))  # a dip past e^7 > 745 is cut off
+    grade = wd * math.pi * (1.0 - alpha) * 2.0 ** np.arange(64)
+    m = min(1.0, p)
+    pts = np.concatenate([16.0 ** (m * np.arange(-14.0 / (alpha * m), 3.0 / m)),
+                          wd + grade[grade < wd], wd - grade[grade < wd / 2]])
+    pts = np.unique(np.append(pts[pts < _EXP_UNDERFLOW], (0.0, _EXP_UNDERFLOW)))
+    lo, hi = pts[:-1, None], pts[1:, None]
+    nodes, weights = gauss_legendre(_PANEL_NODES)
+    with np.errstate(divide="ignore"):
+        shrink = -np.expm1(np.log(lo / hi) / p)  # 1 - u_lo / u_hi
+    w = hi * np.exp(p * np.log1p(-shrink * nodes))
+    wa = w ** alpha
+    f = (np.exp(-w) * (wa * _sin_pi(beta) + x * _sin_pi(beta - alpha))
+         / ((wa - x * c) ** 2 + (x * s) ** 2))
+    return p * float(np.sum(hi ** (1.0 / p) * shrink * weights * f)) / math.pi
 
 
 def _ml_contour(alpha: float, beta: float, z: float) -> float:

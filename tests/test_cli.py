@@ -313,6 +313,9 @@ class TestAcceptedConfigs:
         ("alpha = 0.5", "alpha = 1e-300", "alpha"),
         ("gaussian_bump(1.0, 0.35)", "single_mode(1.5, 1.0)", "u0"),
         ("bounded_tanh(0.1)", "bounded_tanh(1e308)", "nonlinearity"),
+        # a parameterless kind with a parameter ran without it
+        ("scaled_sine(1), identity", "scaled_sine(1), identity(3)", "control_delays"),
+        ("bounded_tanh(0.1)", "zero(2)", "nonlinearity"),
     ])
     def test_config_that_cannot_run_exits_2(self, tmp_path, capsys, old, new, key):
         shipped = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
@@ -366,8 +369,8 @@ class TestImports:
     def test_shipped_config_runs_without_scipy(self, tmp_path, command):
         # at alpha = 0.5 the Mittag-Leffler band goes to the numpy contour
         # rule, and the density and its oracle integrals use fixed
-        # Gauss-Legendre rules; scipy serves only 0.999 < alpha < 1.  The
-        # oracle module itself loads for verify-kernels only.
+        # Gauss-Legendre rules.  The oracle module itself loads for
+        # verify-kernels only.
         cfg = str(resources.files("fracsteer") / "data" / "default.cfg")
         code = ("import sys\n"
                 "import fracsteer.cli\n"
@@ -381,6 +384,25 @@ class TestImports:
                               check=True)
         assert done.stdout.split("\n")[-3:-1] == [
             "[]", str(command == "verify-kernels")]
+
+    @pytest.mark.parametrize("command", ["simulate", "synthesize", "sweep"])
+    def test_band_config_runs_without_scipy(self, tmp_path, command):
+        # past alpha = 0.999 the band below the expansion's reach goes to
+        # the negative-axis integral, a Gauss-Legendre panel rule in numpy
+        text = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
+        cfg = _cfg_file(tmp_path, text.replace("alpha = 0.5", "alpha = 0.9995"))
+        code = ("import sys\n"
+                "import fracsteer.cli\n"
+                "from fracsteer import special\n"
+                f"fracsteer.cli.main(['--config', {cfg!r}, '--out',"
+                f" {str(tmp_path)!r}, '--steps', '16', {command!r}])\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+                "print(special._ml_integral_neg.cache_info().misses > 0)\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        assert done.stdout.split("\n")[-3:-1] == ["[]", "True"]
 
     def test_simulate_leaves_scipy_fft_unimported(self, tmp_path):
         # the memory convolution runs on numpy.fft, which loads on first

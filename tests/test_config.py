@@ -132,6 +132,21 @@ class TestDiagnostics:
         assert "1.5" in str(e.value)
         assert e.value.line == 6
 
+    @pytest.mark.parametrize("key, value", [
+        ("state_delays", "identity(3)"),
+        ("control_delays", "scaled_sine(1), identity(3)"),
+        ("nonlinearity", "zero(2)"),
+        ("state_multipliers", "laplacian(2)"),
+        ("control_multipliers", "identity(0.5)"),
+    ])
+    def test_parameterless_kind_with_a_parameter(self, key, value):
+        # these ran as the bare kind and dropped the parameter
+        with pytest.raises(ConfigError) as e:
+            parse_config(MINIMAL + f"{key} = {value}\n")
+        assert f"[model] {key}: " in str(e.value)
+        assert "takes no parameter" in str(e.value)
+        assert e.value.line == 5
+
     def test_unbounded_tanh_bound(self):
         # |kappa| sqrt(N) overflows to inf, which would switch off the
         # solver's (H6) check; at 1e300 the bound stays finite
@@ -217,6 +232,20 @@ class TestMittagLefflerRange:
         with pytest.raises(ConfigError) as e:
             parse_config(text.format(h=16.5))
         assert "truncation" in str(e.value)
+
+    def test_rejected_before_any_shape_is_built(self, monkeypatch):
+        # an N x 400 basis per Gaussian bump: at N = 20000 the shipped
+        # bumps took the parse to 157 MB before the check rejected it
+        built = []
+        monkeypatch.setattr(config, "synthesize_shape",
+                            lambda spec, n: built.append(spec))
+        with pytest.raises(ConfigError) as e:
+            parse_config(_default_text().replace("truncation = 32",
+                                                 "truncation = 20000"))
+        assert ("[model] truncation: the stiffest mode reaches z = -400000000.0"
+                in str(e.value))
+        assert e.value.line == 8
+        assert built == []
 
     def test_given_eigenvalues_named(self):
         with pytest.raises(ConfigError) as e:

@@ -18,7 +18,7 @@ from fracsteer.config import parse_config
 from fracsteer.errors import ConfigError
 from fracsteer.solver import picard_solve
 
-ALPHAS = (0.1, 0.3, 0.5, 0.9, 0.999, 1.0)
+ALPHAS = (0.1, 0.3, 0.5, 0.9, 0.999, 0.9999, 1.0)
 TRUNCATIONS = (1, 32, 100)
 STEPS = (8, 16, 128)
 HORIZONS = (0.5, 1.0)
