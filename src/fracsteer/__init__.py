@@ -6,8 +6,7 @@ from .control import (ControlProblem, SweepReport, beta_sweep,
                       closed_loop_solve, compute_grammian, control_energy,
                       residual_p, resolvent_apply, synthesize_control)
 from .errors import (ConfigError, DomainError, GridMismatchError,
-                     ModelValidationError, OuterLoopDivergenceError,
-                     PicardDivergenceError)
+                     ModelValidationError, PicardDivergenceError)
 from .fractional import ConvolutionKernel, convolution_kernel
 from .solver import (SolverConfig, Trajectory, mild_residual,
                      nonlocal_offsets, picard_solve)

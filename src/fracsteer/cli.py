@@ -18,7 +18,7 @@ import numpy as np
 from . import config as configmod
 from .control import ControlProblem, beta_sweep, closed_loop_solve, synthesize_control
 from .errors import (ConfigError, DomainError, ModelValidationError,
-                     OuterLoopDivergenceError, PicardDivergenceError)
+                     PicardDivergenceError)
 from .solver import picard_solve
 from .spectral import synthesize_physical
 
@@ -86,21 +86,8 @@ def _meta(cfg) -> list:
             ("n_steps", cfg.solver.n_steps)]
 
 
-def _free_divergence(cfg, out_dir, command, csv_name, exc) -> int:
-    """A diverged uncontrolled solve: its history in the CSV, exit status 1."""
-    _write_csv(os.path.join(out_dir, csv_name), _meta(cfg),
-               ["iteration", "picard_change"],
-               list(enumerate(exc.residual_history)),
-               trailer=[("error", "picard-divergence")])
-    print(f"{command}: {exc}", file=sys.stderr)
-    return 1
-
-
 def run_simulate(cfg, out_dir) -> int:
-    try:
-        traj = picard_solve(cfg.model, cfg.solver)
-    except PicardDivergenceError as exc:
-        return _free_divergence(cfg, out_dir, "simulate", "simulate.csv", exc)
+    traj = picard_solve(cfg.model, cfg.solver)
     header = (["t"] + [f"mode_{i}" for i in range(1, traj.truncation + 1)]
               + [f"x_{_fmt(x)}" for x in cfg.x_points])
     # Python floats, so each value formats directly
@@ -118,20 +105,12 @@ def run_synthesize(cfg, out_dir) -> int:
     cp = ControlProblem(model=cfg.model, target=cfg.target, beta=beta,
                         outer_tol=cfg.outer_tol,
                         outer_max_iters=cfg.outer_max_iters)
-    path = os.path.join(out_dir, "control.csv")
-    try:
-        traj, residual = closed_loop_solve(cp, cfg.solver)
-    except (PicardDivergenceError, OuterLoopDivergenceError) as exc:
-        _write_csv(path, _meta(cfg) + [("beta", _fmt(beta))],
-                   ["iteration", "change"],
-                   list(enumerate(exc.residual_history)),
-                   trailer=[("error", type(exc).__name__)])
-        print(f"synthesize: {exc}", file=sys.stderr)
-        return 1
+    traj, residual = closed_loop_solve(cp, cfg.solver)
     mu = synthesize_control(cp, traj)[-1]
     header = ["t"] + [f"mode_{i}" for i in range(1, traj.truncation + 1)]
     rows = [[t, *mu[k]] for k, t in enumerate(traj.grid())]
-    _write_csv(path, _meta(cfg) + [("beta", _fmt(beta))], header, rows,
+    _write_csv(os.path.join(out_dir, "control.csv"),
+               _meta(cfg) + [("beta", _fmt(beta))], header, rows,
                trailer=[("terminal_residual", _fmt(residual))])
     return 0
 
@@ -140,11 +119,8 @@ def run_sweep(cfg, out_dir) -> int:
     cp = ControlProblem(model=cfg.model, target=cfg.target, beta=cfg.betas[0],
                         outer_tol=cfg.outer_tol,
                         outer_max_iters=cfg.outer_max_iters)
-    try:
-        report = beta_sweep(cp, cfg.betas, cfg.solver)
-    except PicardDivergenceError as exc:
-        # only the uncontrolled solve escapes; each beta flags its own
-        return _free_divergence(cfg, out_dir, "sweep", "sweep.csv", exc)
+    # only the uncontrolled solve's divergence escapes; each beta flags its own
+    report = beta_sweep(cp, cfg.betas, cfg.solver)
     rows = list(zip(report.betas, report.residuals,
                     report.control_energies, report.converged))
     _write_csv(os.path.join(out_dir, "sweep.csv"),
@@ -190,10 +166,12 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return runner(cfg, out_dir)
-    except (DomainError, ModelValidationError) as exc:
-        # a failure after parsing leaves a CSV trailer and one line, as
-        # divergence does, instead of a traceback
-        _write_csv(os.path.join(out_dir, csv_name), _meta(cfg), (), (),
+    except (DomainError, ModelValidationError, PicardDivergenceError) as exc:
+        # a run that stops after parsing leaves its CSV (metadata, any
+        # iteration history, the error's name) and one line, not a traceback
+        history = getattr(exc, "residual_history", ())
+        _write_csv(os.path.join(out_dir, csv_name), _meta(cfg),
+                   ["iteration", "change"] if history else (), enumerate(history),
                    trailer=[("error", type(exc).__name__)])
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

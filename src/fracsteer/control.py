@@ -11,8 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DomainError, ModelValidationError,
-                     OuterLoopDivergenceError, PicardDivergenceError)
+from .errors import DomainError, ModelValidationError, PicardDivergenceError
 from .solver import (SolverConfig, Trajectory, _nonlinearity_rows,
                      build_grid_operators, memory_integral,
                      nonlocal_offset_factor, nonlocal_offsets, picard_solve)
@@ -144,7 +143,8 @@ def closed_loop_solve(cp: ControlProblem, cfg: SolverConfig):
     """Alternate control synthesis and trajectory solves to a fixed point.
 
     Returns (trajectory, terminal_residual) where the residual is the
-    norm of the terminal state's distance to the target.
+    norm of the terminal state's distance to the target.  An inner solve
+    or the alternation that does not settle raises PicardDivergenceError.
     """
     m = cp.model
     traj = picard_solve(m, cfg, control=None)
@@ -158,7 +158,7 @@ def closed_loop_solve(cp: ControlProblem, cfg: SolverConfig):
         if change < cp.outer_tol:
             residual = float(np.linalg.norm(traj.states[-1] - cp.target.coeffs))
             return traj, residual
-    raise OuterLoopDivergenceError(
+    raise PicardDivergenceError(
         f"control/trajectory alternation did not settle in "
         f"{cp.outer_max_iters} rounds (last change {history[-1]:.3e})",
         residual_history=history)
@@ -192,7 +192,7 @@ def beta_sweep(cp: ControlProblem, betas, cfg: SolverConfig) -> SweepReport:
             residuals.append(res)
             energies.append(control_energy(traj.dt, mu[-1]))
             flags.append(True)
-        except (OuterLoopDivergenceError, PicardDivergenceError):
+        except PicardDivergenceError:
             residuals.append(math.nan)
             energies.append(math.nan)
             flags.append(False)

@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class GridMismatchError(ValueError):
-    """A requested time does not lie on the uniform sample grid."""
+    """Arrays sampled on a time grid disagree in shape with it or each other."""
 
 
 class ModelValidationError(ValueError):
@@ -32,15 +32,9 @@ class ConfigError(ValueError):
 
 
 class PicardDivergenceError(RuntimeError):
-    """The Picard iteration failed to contract within its iteration budget."""
-
-    def __init__(self, message, residual_history=()):
-        super().__init__(message)
-        self.residual_history = list(residual_history)
-
-
-class OuterLoopDivergenceError(RuntimeError):
-    """The control/trajectory alternation failed to reach a fixed point."""
+    """A fixed-point iteration did not settle within its budget: the Picard
+    solve of the mild solution or the closed loop's control/trajectory
+    alternation.  ``residual_history`` holds the change of each iteration."""
 
     def __init__(self, message, residual_history=()):
         super().__init__(message)

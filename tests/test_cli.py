@@ -12,7 +12,8 @@ import pytest
 import fracsteer
 from fracsteer import cli
 from fracsteer.cli import main
-from fracsteer.errors import DomainError, ModelValidationError
+from fracsteer.errors import (DomainError, ModelValidationError,
+                              PicardDivergenceError)
 from fracsteer.config import parse_config
 
 SRC = os.path.dirname(os.path.dirname(fracsteer.__file__))
@@ -119,8 +120,8 @@ class TestSimulate:
         out = str(tmp_path / "o")
         assert main(["--config", cfg, "--out", out, "simulate"]) == 1
         meta, header, rows = _read_csv(os.path.join(out, "simulate.csv"))
-        assert meta["error"] == "picard-divergence"
-        assert header == ["iteration", "picard_change"]
+        assert meta["error"] == "PicardDivergenceError"
+        assert header == ["iteration", "change"]
         assert len(rows) == 40
         assert "simulate" in capsys.readouterr().err
 
@@ -155,8 +156,8 @@ class TestSweep:
         out = str(tmp_path / "o")
         assert main(["--config", cfg, "--out", out, "sweep"]) == 1
         meta, header, rows = _read_csv(os.path.join(out, "sweep.csv"))
-        assert meta["error"] == "picard-divergence"
-        assert header == ["iteration", "picard_change"]
+        assert meta["error"] == "PicardDivergenceError"
+        assert header == ["iteration", "change"]
         assert len(rows) == 40
         err = capsys.readouterr().err
         assert err.startswith("sweep: ") and err.count("\n") == 1
@@ -316,6 +317,9 @@ class TestAcceptedConfigs:
         # a parameterless kind with a parameter ran without it
         ("scaled_sine(1), identity", "scaled_sine(1), identity(3)", "control_delays"),
         ("bounded_tanh(0.1)", "zero(2)", "nonlinearity"),
+        # (H5) fails only for t below about 7.7e-4: sin(t/tau) > t there
+        ("state_delays = scaled_sine(1)", "state_delays = scaled_sine(0.9999999)",
+         "state_delays"),
     ])
     def test_config_that_cannot_run_exits_2(self, tmp_path, capsys, old, new, key):
         shipped = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
@@ -328,25 +332,54 @@ class TestAcceptedConfigs:
 
 
 class TestRunErrors:
+    # every way a run stops after parsing writes one record: the metadata,
+    # any iteration history, the error's name, and one line on stderr
     @pytest.mark.parametrize("command, target, csv_name", [
         ("simulate", "picard_solve", "simulate.csv"),
         ("sweep", "beta_sweep", "sweep.csv"),
+        ("synthesize", "closed_loop_solve", "control.csv"),
     ])
-    @pytest.mark.parametrize("error", [DomainError, ModelValidationError])
+    @pytest.mark.parametrize("error", [DomainError, ModelValidationError,
+                                       PicardDivergenceError])
     def test_failure_after_parsing_exits_1_with_a_trailer(
             self, tmp_path, capsys, monkeypatch, command, target, csv_name, error):
+        history = [0.5, 0.25] if error is PicardDivergenceError else []
+
         def fail(*args, **kwargs):
+            if history:
+                raise error("factor out of range", residual_history=history)
             raise error("factor out of range")
 
         monkeypatch.setattr(cli, target, fail)
         out = str(tmp_path / "o")
         assert main(["--out", out, command]) == 1
         meta, header, rows = _read_csv(os.path.join(out, csv_name))
+        assert list(meta) == ["config_sha256", "alpha", "truncation", "n_steps",
+                              "error"]
         assert meta["error"] == error.__name__
-        assert "config_sha256" in meta
-        assert header is None and rows == []
+        if history:
+            assert header == ["iteration", "change"]
+            assert rows == [["0", "0.5"], ["1", "0.25"]]
+        else:
+            assert header is None and rows == []
         err = capsys.readouterr().err
         assert err == f"{command}: factor out of range\n"
+
+    def test_closed_loop_out_of_rounds(self, tmp_path, capsys):
+        text = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
+        assert "outer_max_iters = 100\n" in text
+        cfg = _cfg_file(tmp_path, text.replace("outer_max_iters = 100\n",
+                                               "outer_max_iters = 1\n"))
+        out = str(tmp_path / "o")
+        assert main(["--config", cfg, "--out", out, "--steps", "16",
+                     "synthesize"]) == 1
+        meta, header, rows = _read_csv(os.path.join(out, "control.csv"))
+        assert meta["error"] == "PicardDivergenceError"
+        assert "beta" not in meta
+        assert header == ["iteration", "change"]
+        assert len(rows) == 1 and rows[0][0] == "0" and float(rows[0][1]) > 0.0
+        err = capsys.readouterr().err
+        assert err.startswith("synthesize: ") and err.count("\n") == 1
 
 
 class TestImports:

@@ -147,6 +147,14 @@ class TestDiagnostics:
         assert "takes no parameter" in str(e.value)
         assert e.value.line == 5
 
+    @pytest.mark.parametrize("key", ["state_delays", "control_delays"])
+    def test_sine_delay_with_a_scale_below_one(self, key):
+        # (H5) fails only for t below about 7.7e-4: sin(t/tau) > t there
+        with pytest.raises(ConfigError) as e:
+            parse_config(MINIMAL + f"{key} = scaled_sine(0.9999999)\n")
+        assert str(e.value).startswith(f"line 5: [model] {key}: ")
+        assert str(e.value).endswith(" [violates (H5)]")
+
     def test_unbounded_tanh_bound(self):
         # |kappa| sqrt(N) overflows to inf, which would switch off the
         # solver's (H6) check; at 1e300 the bound stays finite
@@ -276,6 +284,8 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("text, digest", [
         (None, "1c31f78a938acd272edb9e451dcade8faaa4fc2d350efae4bb61663b1a4a6d4b"),
         (MINIMAL, "202b765a1504a0ed09fd2ee58cc78587859348ece771dc69d780d09cd68850e0"),
+        (MINIMAL + "state_delays = scaled_sine(2)\n",
+         "f95dea939b955b520f1687290f63ffd2a05cf3fb2e0ef76f27014ccf82b42537"),
     ])
     def test_pinned_digests(self, text, digest):
         # the digest stamps every CSV: a change to the canonical text is a
