@@ -11,7 +11,6 @@ from .fractional import ConvolutionKernel, convolution_kernel
 from .solver import (SolverConfig, Trajectory, mild_residual,
                      nonlocal_offsets, picard_solve)
 from .special import ml, ml_array, underflow_cutoff, wright_pdf
-from .spectral import (DelayFn, ModelSpec, NonlinearityFn, SpectralState,
-                       synthesize_physical)
+from .spectral import DelayFn, ModelSpec, NonlinearityFn, synthesize_physical
 
 __version__ = "0.1.0"

@@ -86,21 +86,21 @@ def _meta(cfg) -> list:
             ("n_steps", cfg.solver.n_steps)]
 
 
-def run_simulate(cfg, out_dir) -> int:
+def run_simulate(cfg, path) -> int:
     traj = picard_solve(cfg.model, cfg.solver)
     header = (["t"] + [f"mode_{i}" for i in range(1, traj.truncation + 1)]
               + [f"x_{_fmt(x)}" for x in cfg.x_points])
     # Python floats, so each value formats directly
     rows = []
     for k, t in enumerate(traj.grid().tolist()):
-        phys = (synthesize_physical(traj.state_at(k), cfg.x_points).tolist()
+        phys = (synthesize_physical(traj.states[k], cfg.x_points).tolist()
                 if cfg.x_points else [])
         rows.append([t, *traj.states[k].tolist(), *phys])
-    _write_csv(os.path.join(out_dir, "simulate.csv"), _meta(cfg), header, rows)
+    _write_csv(path, _meta(cfg), header, rows)
     return 0
 
 
-def run_synthesize(cfg, out_dir) -> int:
+def run_synthesize(cfg, path) -> int:
     beta = cfg.betas[0]
     cp = ControlProblem(model=cfg.model, target=cfg.target, beta=beta,
                         outer_tol=cfg.outer_tol,
@@ -109,13 +109,12 @@ def run_synthesize(cfg, out_dir) -> int:
     mu = synthesize_control(cp, traj)[-1]
     header = ["t"] + [f"mode_{i}" for i in range(1, traj.truncation + 1)]
     rows = [[t, *mu[k]] for k, t in enumerate(traj.grid())]
-    _write_csv(os.path.join(out_dir, "control.csv"),
-               _meta(cfg) + [("beta", _fmt(beta))], header, rows,
+    _write_csv(path, _meta(cfg) + [("beta", _fmt(beta))], header, rows,
                trailer=[("terminal_residual", _fmt(residual))])
     return 0
 
 
-def run_sweep(cfg, out_dir) -> int:
+def run_sweep(cfg, path) -> int:
     cp = ControlProblem(model=cfg.model, target=cfg.target, beta=cfg.betas[0],
                         outer_tol=cfg.outer_tol,
                         outer_max_iters=cfg.outer_max_iters)
@@ -123,19 +122,18 @@ def run_sweep(cfg, out_dir) -> int:
     report = beta_sweep(cp, cfg.betas, cfg.solver)
     rows = list(zip(report.betas, report.residuals,
                     report.control_energies, report.converged))
-    _write_csv(os.path.join(out_dir, "sweep.csv"),
-               _meta(cfg) + [("uncontrolled_gap", _fmt(report.uncontrolled_gap))],
+    _write_csv(path, _meta(cfg) + [("uncontrolled_gap", _fmt(report.uncontrolled_gap))],
                ["beta", "residual", "control_energy", "converged"], rows)
     return 0 if all(report.converged) else 1
 
 
-def run_verify_kernels(cfg, out_dir) -> int:
+def run_verify_kernels(cfg, path) -> int:
     from .verify import kernel_checks  # the oracles load for this command only
     rows = kernel_checks()
     table = [(name, err, thr, "pass" if err <= thr else "fail")
              for name, err, thr in rows]
-    _write_csv(os.path.join(out_dir, "verify_kernels.csv"), _meta(cfg),
-               ["check", "measured_error", "threshold", "status"], table)
+    _write_csv(path, _meta(cfg), ["check", "measured_error", "threshold", "status"],
+               table)
     failures = [r for r in table if r[3] == "fail"]
     for name, err, thr, _ in failures:
         print(f"verify-kernels: {name} error {err:.3e} > {thr:.3e}",
@@ -157,21 +155,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg = _load_config(args, parser)
-    out_dir = _out_dir(cfg, args)
+    # the one place that names each command's CSV; built per call, so a
+    # runner rebound on the module (as perfbench's tracer does) is the one run
     runner, csv_name = {
         "simulate": (run_simulate, "simulate.csv"),
         "synthesize": (run_synthesize, "control.csv"),
         "sweep": (run_sweep, "sweep.csv"),
         "verify-kernels": (run_verify_kernels, "verify_kernels.csv"),
     }[args.command]
+    path = os.path.join(_out_dir(cfg, args), csv_name)
     try:
-        return runner(cfg, out_dir)
+        return runner(cfg, path)
     except (DomainError, ModelValidationError, PicardDivergenceError) as exc:
         # a run that stops after parsing leaves its CSV (metadata, any
         # iteration history, the error's name) and one line, not a traceback
         history = getattr(exc, "residual_history", ())
-        _write_csv(os.path.join(out_dir, csv_name), _meta(cfg),
-                   ["iteration", "change"] if history else (), enumerate(history),
+        _write_csv(path, _meta(cfg), ["iteration", "change"] if history else (),
+                   enumerate(history),
                    trailer=[("error", type(exc).__name__)])
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

@@ -6,9 +6,10 @@ are comma-separated at the top level (parentheses protect their
 arguments), named shapes and delay/multiplier/nonlinearity descriptors
 use a small closed vocabulary.  Every key is declared once, in
 ``_KEYS``, with its parser, its canonical emitter and its default.
-Parsing validates everything a ModelSpec would, reporting the offending
-key and, where applicable, the violated hypothesis; ``to_text``
-re-emits a canonical form whose parse yields an identical configuration.
+Parsing validates everything a ModelSpec and a ControlProblem would,
+reporting the offending key and, where applicable, the violated
+hypothesis; ``to_text`` re-emits a canonical form whose parse yields an
+identical configuration.
 """
 
 import hashlib
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control import ControlProblem
 from .errors import ConfigError, ModelValidationError
 from .solver import SolverConfig, time_grid
 from .special import ML_MIN_ALPHA, ML_NEG_Z_LIMIT, gauss_legendre
-from .spectral import DelayFn, ModelSpec, NonlinearityFn, SpectralState
+from .spectral import DelayFn, ModelSpec, NonlinearityFn
 
 _GAUSS_NODES = 400
 _BARE_KINDS = ("identity", "zero")  # descriptors written without a parameter
@@ -31,7 +33,7 @@ _BARE_KINDS = ("identity", "zero")  # descriptors written without a parameter
 class ExperimentConfig:
     model: ModelSpec
     solver: SolverConfig
-    target: SpectralState
+    target: np.ndarray
     betas: tuple
     outer_tol: float
     outer_max_iters: int
@@ -177,10 +179,6 @@ def synthesize_shape(spec: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown shape {name!r}")
 
 
-def _shape(text: str, n: int) -> SpectralState:
-    return SpectralState(synthesize_shape(text, n))
-
-
 def _multiplier(spec: str, n: int) -> np.ndarray:
     name, args = _call_form(spec)
     modes = np.arange(1, n + 1, dtype=float)
@@ -258,7 +256,7 @@ def _betas(text: str, n=None) -> tuple:
 # (value, text), most ignoring the second; a key whose parser needs the
 # truncation comes after it.  The model and solver keys are the fields of
 # ModelSpec and SolverConfig, the control keys those of ExperimentConfig.
-_SHAPE = (_shape, _given, "zero")
+_SHAPE = (synthesize_shape, _given, "zero")
 _DELAYS = (_listed(_descriptor(DelayFn)), _joined(_descriptor_text), "none")
 _MULTIPLIERS = (_listed(_multiplier), _given, "none")
 _KEYS = {
@@ -381,7 +379,10 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     # again at the last grid node, which can round past the horizon
     t_max = max(spec.horizon, time_grid(spec.horizon, solver_cfg.n_steps)[1][-1])
     _check_reach(values["model"], t_max, lines)
+    control = values["control"]
+    with _reported("[control]"):  # the target's length and finiteness
+        ControlProblem(spec, control["target"], control["betas"][0])
     output = values["output"]
-    return ExperimentConfig(spec, solver_cfg, **values["control"],
+    return ExperimentConfig(spec, solver_cfg, **control,
                             output_dir=output["dir"], x_points=output["x_points"],
                             sections=tuple(sections))

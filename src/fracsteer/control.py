@@ -15,13 +15,13 @@ from .errors import DomainError, ModelValidationError, PicardDivergenceError
 from .solver import (SolverConfig, Trajectory, _nonlinearity_rows,
                      build_grid_operators, memory_integral,
                      nonlocal_offset_factor, nonlocal_offsets, picard_solve)
-from .spectral import ModelSpec, SpectralState
+from .spectral import ModelSpec, _state_vector
 
 
 @dataclass(frozen=True)
 class ControlProblem:
     model: ModelSpec
-    target: SpectralState
+    target: np.ndarray
     beta: float
     outer_tol: float = 1e-8
     outer_max_iters: int = 100
@@ -29,10 +29,8 @@ class ControlProblem:
     def __post_init__(self):
         if self.beta <= 0.0:
             raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.target.truncation != self.model.truncation:
-            raise ModelValidationError(
-                f"target truncation {self.target.truncation} != "
-                f"model truncation {self.model.truncation}")
+        object.__setattr__(self, "target", _state_vector(
+            "target", self.target, self.model.truncation))
         if self.outer_tol <= 0.0:
             raise DomainError("outer_tol must be positive")
         if self.outer_max_iters < 1:
@@ -70,16 +68,14 @@ def compute_grammian(m: ModelSpec, n_steps: int) -> np.ndarray:
     return np.sum([b * b * base for b in m.control_multipliers], axis=0)
 
 
-def resolvent_apply(g: np.ndarray, beta: float, v: SpectralState) -> SpectralState:
+def resolvent_apply(g: np.ndarray, beta: float, v: np.ndarray) -> np.ndarray:
     """(beta I + Gamma)^{-1} v for the Grammian diagonal ``g``."""
     if beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if not np.all(np.isfinite(v.coeffs)):
-        raise DomainError("resolvent input has non-finite entries")
-    return SpectralState(v.coeffs / (beta + g))
+    return v / (beta + g)
 
 
-def residual_p(cp: ControlProblem, traj: Trajectory) -> SpectralState:
+def residual_p(cp: ControlProblem, traj: Trajectory) -> np.ndarray:
     """u_a - S_alpha(a) u(0) - int_0^a (a-s)^{a-1} T_alpha(a-s) F ds."""
     m = cp.model
     if traj.n_steps < 1 or abs(traj.horizon - m.horizon) > 1e-9 * m.horizon:
@@ -94,7 +90,7 @@ def residual_p(cp: ControlProblem, traj: Trajectory) -> SpectralState:
     free = ops.s_factors[n] * offset
     g = _nonlinearity_rows(m, ops, traj.states)
     mem = memory_integral(ops, g)
-    return SpectralState(cp.target.coeffs - free - mem[n])
+    return cp.target - free - mem[n]
 
 
 def _steering_times(m: ModelSpec, times: np.ndarray) -> np.ndarray:
@@ -132,7 +128,7 @@ def synthesize_control(cp: ControlProblem, traj: Trajectory):
     times = traj.dt * np.arange(n + 1)
     tq = _steering_times(m, times)
     bq = m.control_multipliers[-1]
-    mu = bq * m.t_alpha_factors(m.horizon - tq) * r.coeffs
+    mu = bq * m.t_alpha_factors(m.horizon - tq) * r
     channels = [np.zeros((n + 1, m.truncation))
                 for _ in range(m.control_delay_count - 1)]
     channels.append(mu)
@@ -156,7 +152,7 @@ def closed_loop_solve(cp: ControlProblem, cfg: SolverConfig):
         history.append(change)
         traj = new
         if change < cp.outer_tol:
-            residual = float(np.linalg.norm(traj.states[-1] - cp.target.coeffs))
+            residual = float(np.linalg.norm(traj.states[-1] - cp.target))
             return traj, residual
     raise PicardDivergenceError(
         f"control/trajectory alternation did not settle in "
@@ -182,7 +178,7 @@ def beta_sweep(cp: ControlProblem, betas, cfg: SolverConfig) -> SweepReport:
     if any(b2 >= b1 for b1, b2 in zip(bs, bs[1:])):
         raise DomainError("beta values must be strictly decreasing")
     free = picard_solve(cp.model, cfg, control=None)
-    gap = float(np.linalg.norm(free.states[-1] - cp.target.coeffs))
+    gap = float(np.linalg.norm(free.states[-1] - cp.target))
     residuals, energies, flags = [], [], []
     for b in bs:
         cpb = replace(cp, beta=b)

@@ -22,7 +22,7 @@ from .errors import (DomainError, GridMismatchError, ModelValidationError,
 from .fractional import convolution_kernel
 from .gammafn import gamma
 from .special import ml_array
-from .spectral import ModelSpec, SpectralState
+from .spectral import ModelSpec
 
 _GRID_RTOL = 1e-9
 
@@ -77,9 +77,6 @@ class Trajectory:
     def grid(self) -> np.ndarray:
         return self.dt * np.arange(self.states.shape[0])
 
-    def state_at(self, k: int) -> SpectralState:
-        return SpectralState(self.states[k])
-
 
 def _interp_stencil(dt: float, n: int, times) -> tuple:
     """Index/weight pairs for linear interpolation at the given times."""
@@ -110,7 +107,7 @@ def nonlocal_offsets(m: ModelSpec, states: np.ndarray, dt: float, factors):
     time: a 1-d array gives one row per entry, a scalar one vector.  The
     nonlocal states u(t_k) are linearly interpolated in ``states``.
     """
-    base = m.u0.coeffs + m.v0.coeffs
+    base = m.u0 + m.v0
     if not m.nonlocal_terms:
         return np.broadcast_to(base, np.shape(factors) + base.shape)
     h = np.zeros(m.truncation)
@@ -246,7 +243,7 @@ def picard_solve(m: ModelSpec, cfg: SolverConfig, control=None) -> Trajectory:
     """
     ops = build_grid_operators(m, cfg.n_steps)
     forcing = realize_controls(m, ops, control)
-    base = m.u0.coeffs + m.v0.coeffs
+    base = m.u0 + m.v0
     states = ops.s_factors * base[None, :]
     history = []
     for _ in range(cfg.picard_max_iters):

@@ -1,13 +1,17 @@
-"""Truncated spectral model: states, operator eigenfactors, and multipliers.
+"""Truncated spectral model: operator eigenfactors, delays, nonlinearities
+and multipliers.
 
-The state space is the span of the first N sine modes on [0, pi]; the
-generator is diagonal with eigenvalues lambda_n (default n^2), so the
-fractional operator families S_alpha and T_alpha act by per-mode scalar
-factors, tabulated by ``ModelSpec.s_alpha_factors`` and
-``t_alpha_factors``.  ``ModelSpec`` bundles the generator data with the
-delay functions, the per-mode state/control multipliers, the nonlocal
-weights, and the nonlinearity descriptor, and validates the standing
-hypotheses at construction time.
+The state space is the span of the first N sine modes on [0, pi], and a
+state is a plain float array of its N coefficients.  The generator is
+diagonal with eigenvalues lambda_n (default n^2), so the fractional
+operator families S_alpha and T_alpha act by per-mode scalar factors,
+tabulated by ``ModelSpec.s_alpha_factors`` and ``t_alpha_factors``.
+``ModelSpec`` bundles the generator data with the delay functions, the
+per-mode state/control multipliers, the nonlocal weights, and the
+nonlinearity descriptor, and validates the standing hypotheses at
+construction time.  A state's length and finiteness are checked once,
+by ``_state_vector``, where a ``ModelSpec`` (``u0``, ``v0``) or a
+``ControlProblem`` (``target``) is built.
 """
 
 import math
@@ -24,27 +28,16 @@ _DELAY_KINDS = ("identity", "scaled_sine", "constant_lag")
 _NONLINEARITY_KINDS = ("zero", "bounded_tanh", "linear_feedback")
 
 
-@dataclass(frozen=True)
-class SpectralState:
-    """Coefficient vector on the truncated sine eigenbasis."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise DomainError("a state needs a 1-d, nonempty coefficient vector")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("state coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def truncation(self) -> int:
-        return self.coeffs.size
-
-    @staticmethod
-    def zero(n: int) -> "SpectralState":
-        return SpectralState(np.zeros(n))
+def _state_vector(name: str, coeffs, n: int) -> np.ndarray:
+    """A state of the model: ``coeffs`` as n finite floats, or an error
+    naming the field ``name``."""
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape != (n,):
+        raise ModelValidationError(
+            f"{name} has shape {c.shape}, the model needs ({n},)")
+    if not np.all(np.isfinite(c)):
+        raise ModelValidationError(f"{name} coefficients must be finite")
+    return c
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,8 @@ class DelayFn:
             raise ModelValidationError(
                 f"scaled_sine needs a scale >= 1, got {self.param}", hypothesis="(H5)")
         if self.kind == "constant_lag" and self.param < 0.0:
-            raise ModelValidationError("constant_lag needs a nonnegative lag")
+            raise ModelValidationError(
+                f"constant_lag needs a nonnegative lag, got {self.param}", hypothesis="(H5)")
 
     def __call__(self, t: float) -> float:
         if self.kind == "identity":
@@ -137,8 +131,8 @@ class ModelSpec:
     truncation: int
     alpha: float
     horizon: float
-    u0: SpectralState
-    v0: SpectralState
+    u0: np.ndarray
+    v0: np.ndarray
     eigenvalues: np.ndarray = None
     state_delays: tuple = ()
     state_multipliers: tuple = ()
@@ -163,10 +157,8 @@ class ModelSpec:
             raise ModelValidationError(
                 "need exactly one positive eigenvalue per mode", hypothesis="(H1)")
         object.__setattr__(self, "eigenvalues", lam)
-        for s in (self.u0, self.v0):
-            if s.truncation != n:
-                raise ModelValidationError(
-                    f"initial state truncation {s.truncation} != model truncation {n}")
+        for name in ("u0", "v0"):
+            object.__setattr__(self, name, _state_vector(name, getattr(self, name), n))
 
         object.__setattr__(self, "state_delays", tuple(self.state_delays))
         object.__setattr__(self, "control_delays", tuple(self.control_delays))
@@ -240,9 +232,9 @@ class ModelSpec:
         return table[0] if times.ndim == 0 else table
 
 
-def synthesize_physical(u: SpectralState, x_grid) -> np.ndarray:
+def synthesize_physical(coeffs: np.ndarray, x_grid) -> np.ndarray:
     """Evaluate sum_n c_n sqrt(2/pi) sin(n x) on the given x points."""
     x = np.asarray(x_grid, dtype=float)
-    n = np.arange(1, u.truncation + 1)
+    n = np.arange(1, len(coeffs) + 1)
     basis = math.sqrt(2.0 / math.pi) * np.sin(np.outer(x, n))
-    return basis @ u.coeffs
+    return basis @ coeffs

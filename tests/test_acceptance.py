@@ -21,7 +21,7 @@ from fracsteer.control import (ControlProblem, closed_loop_solve,
 from fracsteer.gammafn import gamma
 from fracsteer.solver import SolverConfig, mild_residual, picard_solve
 from fracsteer.special import ml, underflow_cutoff, wright_pdf
-from fracsteer.spectral import DelayFn, ModelSpec, NonlinearityFn, SpectralState
+from fracsteer.spectral import DelayFn, ModelSpec, NonlinearityFn
 from fracsteer.verify import route_quadrature
 
 
@@ -76,7 +76,7 @@ def test_criterion_2_operator_family_bounds(acceptance_report):
     ok = True
     for a in (0.5, 0.75, 1.0):
         m = ModelSpec(truncation=32, alpha=a, horizon=1.0,
-                      u0=SpectralState.zero(32), v0=SpectralState.zero(32))
+                      u0=np.zeros(32), v0=np.zeros(32))
         ok &= np.max(np.abs(m.s_alpha_factors(0.0) - 1.0)) <= 1e-12
         ok &= np.max(np.abs(m.t_alpha_factors(0.0) - 1.0 / gamma(a))) <= 1e-12
         for t in np.linspace(0.0, 1.0, 100):
@@ -104,7 +104,7 @@ def test_criterion_4_relaxation_convergence(acceptance_report):
     a = 0.5
     # pure relaxation: the solver reproduces E_{a,1}(-t^a) u0
     m = ModelSpec(truncation=1, alpha=a, horizon=1.0,
-                  u0=SpectralState(np.ones(1)), v0=SpectralState.zero(1),
+                  u0=np.ones(1), v0=np.zeros(1),
                   eigenvalues=[1.0])
     tr = picard_solve(m, SolverConfig(n_steps=512))
     exact = np.array([ml(a, 1.0, -(tr.dt * k) ** a) for k in range(513)])
@@ -116,7 +116,7 @@ def test_criterion_4_relaxation_convergence(acceptance_report):
     steps = (64, 128, 256, 512)
     for n in steps:
         ms = ModelSpec(truncation=1, alpha=a, horizon=1.0,
-                       u0=SpectralState(np.ones(1)), v0=SpectralState.zero(1),
+                       u0=np.ones(1), v0=np.zeros(1),
                        eigenvalues=[0.5],
                        state_delays=(DelayFn("identity"),),
                        state_multipliers=(np.ones(1),),
@@ -139,7 +139,7 @@ def test_criterion_5_classical_delay_oracle(acceptance_report):
     lam = np.array([1.0, 4.0, 9.0, 16.0])
     u0 = np.array([1.0, 0.5, -0.3, 0.2])
     m = ModelSpec(truncation=4, alpha=1.0, horizon=1.0,
-                  u0=SpectralState(u0), v0=SpectralState.zero(4),
+                  u0=u0, v0=np.zeros(4),
                   state_delays=(DelayFn("constant_lag", lag),),
                   state_multipliers=(np.ones(4),),
                   nonlinearity=NonlinearityFn("bounded_tanh", kappa))
@@ -179,13 +179,13 @@ def test_criterion_6_linear_residual_formula(acceptance_report):
     # single classical mode, identity steering: the closed-loop terminal
     # residual equals beta/(beta + gamma) * |p| with gamma = (1-e^{-2})/2
     m = ModelSpec(truncation=1, alpha=1.0, horizon=1.0,
-                  u0=SpectralState.zero(1), v0=SpectralState.zero(1),
+                  u0=np.zeros(1), v0=np.zeros(1),
                   eigenvalues=[1.0],
                   control_delays=(DelayFn("identity"),),
                   control_multipliers=(np.ones(1),))
     n = 2048
     cfg = SolverConfig(n_steps=n)
-    target = SpectralState(np.ones(1))
+    target = np.ones(1)
     gamma_exact = 0.5 * (1.0 - math.exp(-2.0))
     gram = compute_grammian(m, n)
     qtol = abs(gram[0] - gamma_exact) / gamma_exact
@@ -197,7 +197,7 @@ def test_criterion_6_linear_residual_formula(acceptance_report):
         cp = ControlProblem(model=m, target=target, beta=beta)
         traj, res = closed_loop_solve(cp, cfg)
         p = residual_p(cp, picard_solve(m, cfg))
-        exact = beta / (beta + gamma_exact) * abs(p.coeffs[0])
+        exact = beta / (beta + gamma_exact) * abs(p[0])
         ok &= abs(res - exact) <= 10.0 * qtol * exact + 1e-14
         ok &= f"{res:.6g}" == expect_6g == f"{exact:.6g}"
     assert acceptance_report(6, "regularized residual formula", ok)

@@ -8,7 +8,7 @@ from fracsteer.backend import memory_convolve
 from fracsteer.errors import GridMismatchError
 from fracsteer.fractional import convolution_kernel
 from fracsteer.solver import build_grid_operators
-from fracsteer.spectral import ModelSpec, SpectralState
+from fracsteer.spectral import ModelSpec
 
 
 def _random_case(n=64, modes=8, seed=0):
@@ -55,7 +55,7 @@ def test_matches_dense_row_oracle_on_stiff_eigenfactors():
     # underflow across the history, so each spectrum mixes lags of every scale
     n = 1024
     m = ModelSpec(truncation=32, alpha=1.0, horizon=1.0,
-                  u0=SpectralState.zero(32), v0=SpectralState.zero(32))
+                  u0=np.zeros(32), v0=np.zeros(32))
     ops = build_grid_operators(m, n)
     kern = convolution_kernel(1.0, n, ops.dt)
     g = np.random.default_rng(4).standard_normal((n + 1, 32))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fracsteer
-from fracsteer import cli
+from fracsteer import cli, verify
 from fracsteer.cli import main
 from fracsteer.errors import (DomainError, ModelValidationError,
                               PicardDivergenceError)
@@ -364,6 +364,28 @@ class TestRunErrors:
             assert header is None and rows == []
         err = capsys.readouterr().err
         assert err == f"{command}: factor out of range\n"
+
+    @pytest.mark.parametrize("command, module, target", [
+        ("simulate", cli, "picard_solve"),
+        ("synthesize", cli, "closed_loop_solve"),
+        ("sweep", cli, "beta_sweep"),
+        ("verify-kernels", verify, "kernel_checks"),
+    ])
+    def test_success_and_failure_write_the_same_file(
+            self, tmp_path, monkeypatch, command, module, target):
+        monkeypatch.setattr(verify, "kernel_checks", lambda: [("check", 0.0, 1.0)])
+        cfg = _cfg_file(tmp_path, SMALL)
+        ok, failed = str(tmp_path / "ok"), str(tmp_path / "failed")
+        assert main(["--config", cfg, "--out", ok, command]) == 0
+
+        def fail(*args, **kwargs):
+            raise DomainError("factor out of range")
+
+        monkeypatch.setattr(module, target, fail)
+        assert main(["--config", cfg, "--out", failed, command]) == 1
+        assert len(os.listdir(ok)) == 1
+        assert os.listdir(failed) == os.listdir(ok)
+        assert _read_csv(os.path.join(failed, *os.listdir(ok)))[0]["error"] == "DomainError"
 
     def test_closed_loop_out_of_rounds(self, tmp_path, capsys):
         text = (resources.files("fracsteer") / "data" / "default.cfg").read_text()

@@ -12,6 +12,7 @@ from fracsteer import config
 from fracsteer.config import parse_config, synthesize_shape
 from fracsteer.errors import ConfigError
 from fracsteer.solver import picard_solve
+from fracsteer.special import gauss_legendre
 
 MINIMAL = """
 [model]
@@ -155,6 +156,14 @@ class TestDiagnostics:
         assert str(e.value).startswith(f"line 5: [model] {key}: ")
         assert str(e.value).endswith(" [violates (H5)]")
 
+    @pytest.mark.parametrize("key", ["state_delays", "control_delays"])
+    def test_negative_lag(self, key):
+        # delay(t) = t + 0.1 > t breaks |delay(t)| <= t at every t
+        with pytest.raises(ConfigError) as e:
+            parse_config(MINIMAL + f"{key} = constant_lag(-0.1)\n")
+        assert str(e.value).startswith(f"line 5: [model] {key}: ")
+        assert str(e.value).endswith(" [violates (H5)]")
+
     def test_unbounded_tanh_bound(self):
         # |kappa| sqrt(N) overflows to inf, which would switch off the
         # solver's (H6) check; at 1e300 the bound stays finite
@@ -196,6 +205,17 @@ class TestNonFiniteNumbers:
             parse_config(text.replace(old, new, 1))
         assert key in str(e.value)
         assert "finite" in str(e.value)
+
+    @pytest.mark.parametrize("section, key", [
+        ("model", "u0"), ("model", "v0"), ("control", "target")])
+    def test_shape_that_evaluates_to_nan(self, section, key):
+        # a bump of width 1e-300 centred on a quadrature node divides 0 by 0;
+        # the state check of ModelSpec or ControlProblem rejects it at parse
+        center = math.pi * float(gauss_legendre(config._GAUSS_NODES)[0][0])
+        text = MINIMAL + f"[{section}]\n{key} = gaussian_bump({center!r}, 1e-300)\n"
+        with np.errstate(all="ignore"), pytest.raises(ConfigError) as e:
+            parse_config(text)
+        assert f"[{section}]: {key} coefficients must be finite" in str(e.value)
 
 
 class TestControlValues:
@@ -245,8 +265,8 @@ class TestMittagLefflerRange:
         # an N x 400 basis per Gaussian bump: at N = 20000 the shipped
         # bumps took the parse to 157 MB before the check rejected it
         built = []
-        monkeypatch.setattr(config, "synthesize_shape",
-                            lambda spec, n: built.append(spec))
+        monkeypatch.setattr(config, "gauss_legendre",
+                            lambda nodes: built.append(nodes))
         with pytest.raises(ConfigError) as e:
             parse_config(_default_text().replace("truncation = 32",
                                                  "truncation = 20000"))
@@ -297,8 +317,8 @@ class TestCanonicalForm:
         again = parse_config(cfg.to_text())
         assert again.sections == cfg.sections
         assert again.digest() == cfg.digest()
-        assert np.array_equal(again.model.u0.coeffs, cfg.model.u0.coeffs)
-        assert np.array_equal(again.target.coeffs, cfg.target.coeffs)
+        assert np.array_equal(again.model.u0, cfg.model.u0)
+        assert np.array_equal(again.target, cfg.target)
         assert again.betas == cfg.betas
 
     def test_digest_tracks_content(self):

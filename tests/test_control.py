@@ -12,18 +12,17 @@ from fracsteer.errors import DomainError, ModelValidationError
 from fracsteer.gammafn import gamma
 from fracsteer.solver import SolverConfig, picard_solve
 from fracsteer.special import ml
-from fracsteer.spectral import DelayFn, ModelSpec, SpectralState
+from fracsteer.spectral import DelayFn, ModelSpec
 
 GAMMA_CLASSICAL = 0.5 * (1.0 - math.exp(-2.0))  # int_0^1 e^{-2(1-s)} ds
 
 
 def _model(n=1, alpha=1.0, lam=None, u0=None, b=None, **kw):
     lam = lam if lam is not None else np.ones(n)
-    u0 = np.asarray(u0, dtype=float) if u0 is not None else np.zeros(n)
     b = b if b is not None else np.ones(n)
     return ModelSpec(
         truncation=n, alpha=alpha, horizon=1.0,
-        u0=SpectralState(u0), v0=SpectralState.zero(n), eigenvalues=lam,
+        u0=np.zeros(n) if u0 is None else u0, v0=np.zeros(n), eigenvalues=lam,
         control_delays=(DelayFn("identity"),), control_multipliers=(b,), **kw)
 
 
@@ -42,7 +41,7 @@ class TestGrammian:
         m1 = _model(n=2, lam=[1.0, 4.0])
         m2 = ModelSpec(
             truncation=2, alpha=1.0, horizon=1.0,
-            u0=SpectralState.zero(2), v0=SpectralState.zero(2),
+            u0=np.zeros(2), v0=np.zeros(2),
             eigenvalues=[1.0, 4.0],
             control_delays=(DelayFn("identity"), DelayFn("identity")),
             control_multipliers=(np.ones(2), np.ones(2)))
@@ -52,7 +51,7 @@ class TestGrammian:
 
     def test_requires_control_channel(self):
         m = ModelSpec(truncation=1, alpha=0.5, horizon=1.0,
-                      u0=SpectralState.zero(1), v0=SpectralState.zero(1))
+                      u0=np.zeros(1), v0=np.zeros(1))
         with pytest.raises(ModelValidationError):
             compute_grammian(m, 64)
 
@@ -69,18 +68,18 @@ class TestResolvent:
     def test_contraction(self):
         m = _model(n=4, alpha=0.7, lam=np.arange(1.0, 5.0) ** 2)
         g = compute_grammian(m, 128)
-        v = SpectralState(np.ones(4))
+        v = np.ones(4)
         for beta in (1e-1, 1e-3):
             out = resolvent_apply(g, beta, v)
             # beta (beta I + Gamma)^{-1} has norm <= 1
-            assert np.all(beta * np.abs(out.coeffs) <= 1.0 + 1e-14)
+            assert np.all(beta * np.abs(out) <= 1.0 + 1e-14)
 
     def test_strong_operator_decay(self):
         m = _model(n=4, alpha=0.7, lam=np.arange(1.0, 5.0) ** 2)
         g = compute_grammian(m, 128)
-        v = SpectralState(np.ones(4))
+        v = np.ones(4)
         betas = [10.0 ** (-k) for k in range(6)]
-        norms = [beta * np.max(np.abs(resolvent_apply(g, beta, v).coeffs))
+        norms = [beta * np.max(np.abs(resolvent_apply(g, beta, v)))
                  for beta in betas]
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1e-3
@@ -88,39 +87,37 @@ class TestResolvent:
     def test_validation(self):
         g = compute_grammian(_model(), 64)
         with pytest.raises(DomainError):
-            resolvent_apply(g, 0.0, SpectralState(np.ones(1)))
-        with pytest.raises(DomainError):
-            resolvent_apply(g, 0.1, SpectralState(np.array([math.nan])))
+            resolvent_apply(g, 0.0, np.ones(1))
 
 
 class TestResidualP:
     def test_zero_data_gives_target(self):
         m = _model(n=2, lam=[1.0, 4.0])
-        cp = ControlProblem(model=m, target=SpectralState(np.array([0.5, -0.2])),
+        cp = ControlProblem(model=m, target=np.array([0.5, -0.2]),
                             beta=0.1)
         traj = picard_solve(m, SolverConfig(n_steps=64))
         p = residual_p(cp, traj)
-        assert np.allclose(p.coeffs, [0.5, -0.2])
+        assert np.allclose(p, [0.5, -0.2])
 
     def test_linear_free_response(self):
         # p_n = target_n - E_{a,1}(-lam a^a) u0_n when F = 0, h = 0
         m = _model(n=1, alpha=0.5, lam=[2.0], u0=[1.5])
-        cp = ControlProblem(model=m, target=SpectralState(np.zeros(1)), beta=0.1)
+        cp = ControlProblem(model=m, target=np.zeros(1), beta=0.1)
         traj = picard_solve(m, SolverConfig(n_steps=64))
         p = residual_p(cp, traj)
-        assert p.coeffs[0] == pytest.approx(-ml(0.5, 1.0, -2.0) * 1.5, rel=1e-9)
+        assert p[0] == pytest.approx(-ml(0.5, 1.0, -2.0) * 1.5, rel=1e-9)
 
     def test_free_terminal_state_as_target(self):
         m = _model(n=2, alpha=0.6, lam=[1.0, 4.0], u0=[1.0, -0.5])
         traj = picard_solve(m, SolverConfig(n_steps=64))
-        cp = ControlProblem(model=m, target=traj.state_at(64), beta=0.1)
-        assert np.linalg.norm(residual_p(cp, traj).coeffs) < 1e-9
+        cp = ControlProblem(model=m, target=traj.states[64], beta=0.1)
+        assert np.linalg.norm(residual_p(cp, traj)) < 1e-9
 
 
 class TestSynthesis:
     def test_zero_gap_gives_zero_control(self):
         m = _model(n=2, lam=[1.0, 4.0])
-        cp = ControlProblem(model=m, target=SpectralState.zero(2), beta=0.1)
+        cp = ControlProblem(model=m, target=np.zeros(2), beta=0.1)
         traj = picard_solve(m, SolverConfig(n_steps=64))
         mu = synthesize_control(cp, traj)
         assert len(mu) == 1
@@ -129,7 +126,7 @@ class TestSynthesis:
     def test_classical_law_shape(self):
         # alpha=1: mu(t) = e^{-(1-t)} p/(beta + gamma)
         m = _model(u0=[1.0])
-        cp = ControlProblem(model=m, target=SpectralState(np.ones(1)), beta=0.1)
+        cp = ControlProblem(model=m, target=np.ones(1), beta=0.1)
         n = 2048
         traj = picard_solve(m, SolverConfig(n_steps=n))
         mu = synthesize_control(cp, traj)[0][:, 0]
@@ -142,12 +139,12 @@ class TestSynthesis:
     def test_terminal_value(self):
         # mu(a) = B * (1/Gamma(alpha)) * (beta I + Gamma)^{-1} p
         m = _model(n=1, alpha=0.5, u0=[1.0], b=np.array([2.0]))
-        cp = ControlProblem(model=m, target=SpectralState.zero(1), beta=0.2)
+        cp = ControlProblem(model=m, target=np.zeros(1), beta=0.2)
         traj = picard_solve(m, SolverConfig(n_steps=128))
         mu = synthesize_control(cp, traj)[0]
         g = compute_grammian(m, 128)
         p = residual_p(cp, traj)
-        expect = 2.0 * (1.0 / gamma(0.5)) * p.coeffs[0] / (0.2 + g[0])
+        expect = 2.0 * (1.0 / gamma(0.5)) * p[0] / (0.2 + g[0])
         assert mu[-1, 0] == pytest.approx(expect, rel=1e-12)
 
 
@@ -156,20 +153,20 @@ class TestClosedLoop:
         # linear system: terminal residual is exactly beta/(beta+gamma_n) p_n
         for a in (0.5, 0.75, 1.0):
             m = _model(n=2, alpha=a, lam=[1.0, 4.0], u0=[1.0, 0.3])
-            target = SpectralState(np.array([0.2, -0.1]))
+            target = np.array([0.2, -0.1])
             free = picard_solve(m, SolverConfig(n_steps=512))
             g = compute_grammian(m, 512)
             for beta in (0.1, 1e-3):
                 cp = ControlProblem(model=m, target=target, beta=beta)
                 traj, res = closed_loop_solve(cp, SolverConfig(n_steps=512))
                 p = residual_p(cp, free)
-                expect = np.linalg.norm(beta / (beta + g) * p.coeffs)
+                expect = np.linalg.norm(beta / (beta + g) * p)
                 assert res == pytest.approx(expect, rel=1e-7, abs=1e-12)
 
     def test_free_target_needs_no_control(self):
         m = _model(n=2, alpha=0.6, lam=[1.0, 4.0], u0=[1.0, -0.5])
         free = picard_solve(m, SolverConfig(n_steps=64))
-        cp = ControlProblem(model=m, target=free.state_at(64), beta=1e-3)
+        cp = ControlProblem(model=m, target=free.states[64], beta=1e-3)
         traj, res = closed_loop_solve(cp, SolverConfig(n_steps=64))
         assert res < 1e-8
         mu = synthesize_control(cp, traj)[-1]
@@ -177,7 +174,7 @@ class TestClosedLoop:
 
     def test_heavy_regularization_near_gap(self):
         m = _model(n=1, u0=[1.0])
-        target = SpectralState(np.array([1.0]))
+        target = np.array([1.0])
         cp = ControlProblem(model=m, target=target, beta=1e4)
         cfg = SolverConfig(n_steps=128)
         traj, res = closed_loop_solve(cp, cfg)
@@ -186,15 +183,27 @@ class TestClosedLoop:
         assert res == pytest.approx(gap, rel=1e-3)
 
 
+class TestControlProblem:
+    def test_target_checked(self):
+        # the target's length and finiteness are checked where the problem
+        # is built, and the message names the field
+        for bad in (np.array([1.0, math.nan]), np.ones(3), np.ones((2, 1))):
+            with pytest.raises(ModelValidationError, match="target"):
+                ControlProblem(model=_model(n=2), target=bad, beta=0.1)
+        cp = ControlProblem(model=_model(n=2), target=[3, 4], beta=0.1)
+        assert cp.target.dtype == float
+        assert np.array_equal(cp.target, [3.0, 4.0])
+
+
 class TestBetaSweep:
     def test_outer_budget_validated(self):
         with pytest.raises(DomainError):
-            ControlProblem(model=_model(), target=SpectralState(np.ones(1)),
+            ControlProblem(model=_model(), target=np.ones(1),
                            beta=0.1, outer_max_iters=0)
 
     def test_validation(self):
         m = _model()
-        cp = ControlProblem(model=m, target=SpectralState(np.ones(1)), beta=0.1)
+        cp = ControlProblem(model=m, target=np.ones(1), beta=0.1)
         cfg = SolverConfig(n_steps=32)
         with pytest.raises(DomainError):
             beta_sweep(cp, [0.1, 0.1], cfg)
@@ -205,7 +214,7 @@ class TestBetaSweep:
 
     def test_zero_problem(self):
         m = _model(n=2, lam=[1.0, 4.0])
-        cp = ControlProblem(model=m, target=SpectralState.zero(2), beta=0.1)
+        cp = ControlProblem(model=m, target=np.zeros(2), beta=0.1)
         rep = beta_sweep(cp, [0.1, 0.01], SolverConfig(n_steps=32))
         assert rep.uncontrolled_gap == 0.0
         assert rep.residuals == (0.0, 0.0)
@@ -213,7 +222,7 @@ class TestBetaSweep:
 
     def test_monotone_decrease(self):
         m = _model(n=2, alpha=0.6, lam=[1.0, 4.0], u0=[1.0, 0.3])
-        cp = ControlProblem(model=m, target=SpectralState(np.array([0.4, 0.1])),
+        cp = ControlProblem(model=m, target=np.array([0.4, 0.1]),
                             beta=0.1)
         rep = beta_sweep(cp, [1e-1, 1e-2, 1e-3], SolverConfig(n_steps=64))
         assert all(rep.converged)

@@ -1,5 +1,6 @@
-"""Guards: every public top-level function and class serves the library,
-and every imported name is read.
+"""Guards: every public top-level function and class, and every public
+method and property of a public class, serves the library; and every
+imported name is read.
 
 A public name that only tests call is a second code path that production
 never exercises; delete it, or use it from the library.  An import that
@@ -8,6 +9,7 @@ nothing reads is left over from deleted code.
 
 import ast
 import pathlib
+from collections import Counter
 
 import fracsteer
 
@@ -19,29 +21,41 @@ ALLOWED = {
 }
 
 
-def _definitions_and_references():
-    """Public top-level defs per module, and every name referenced outside
-    its own definition (``__init__`` re-exports do not count)."""
-    defined, referenced = {}, set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+def _public_definitions(tree):
+    """(name, node) of each public top-level function and class, and of each
+    public method and property of a public class, named ``Class.method``."""
+    for stmt in tree.body:
+        if (not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                or stmt.name.startswith("_")):
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for stmt in tree.body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = stmt.name
-                if not own.startswith("_"):
-                    defined[own] = path.name
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != own:
-                    referenced.add(name)
+        yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{stmt.name}.{item.name}", item
+
+
+def _references(node) -> Counter:
+    """How often each name or attribute is spelled under ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _definitions_and_references():
+    """Public definitions per module, and those referenced outside their own
+    definition (``__init__`` re-exports do not count).  A method counts as
+    referenced where any attribute of its name is read: the guard matches
+    spelling, not types."""
+    trees = [(path.name, ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    total = sum((_references(tree) for _, tree in trees), Counter())
+    defined, referenced = {}, set()
+    for module, tree in trees:
+        for name, node in _public_definitions(tree):
+            defined[name] = module
+            spelled = name.rsplit(".", 1)[-1]
+            if total[spelled] > _references(node)[spelled]:
+                referenced.add(name)
     return defined, referenced
 
 

@@ -14,14 +14,13 @@ from fracsteer.solver import (SolverConfig, Trajectory, _interp_rows,
                               nonlocal_offset_factor, nonlocal_offsets,
                               picard_solve)
 from fracsteer.special import ml
-from fracsteer.spectral import DelayFn, ModelSpec, NonlinearityFn, SpectralState
+from fracsteer.spectral import DelayFn, ModelSpec, NonlinearityFn
 
 
 def _model(n=2, alpha=0.5, u0=None, **kw):
-    u0 = SpectralState(np.asarray(u0, dtype=float)) if u0 is not None \
-        else SpectralState.zero(n)
+    u0 = np.zeros(n) if u0 is None else u0
     return ModelSpec(truncation=n, alpha=alpha, horizon=1.0, u0=u0,
-                     v0=SpectralState.zero(n), **kw)
+                     v0=np.zeros(n), **kw)
 
 
 def _const_traj(values, n_steps=16, dt=None):

@@ -10,22 +10,13 @@ from fracsteer.errors import DomainError, ModelValidationError
 from fracsteer.gammafn import gamma
 from fracsteer.solver import _nonlinearity_rows, build_grid_operators
 from fracsteer.spectral import (DelayFn, ModelSpec, NonlinearityFn,
-                                SpectralState, synthesize_physical)
+                                synthesize_physical)
 
 
 def _model(n=2, alpha=1.0, **kw):
-    kw.setdefault("u0", SpectralState.zero(n))
-    kw.setdefault("v0", SpectralState.zero(n))
+    kw.setdefault("u0", np.zeros(n))
+    kw.setdefault("v0", np.zeros(n))
     return ModelSpec(truncation=n, alpha=alpha, horizon=1.0, **kw)
-
-
-class TestSpectralState:
-    def test_truncation_and_zero(self):
-        u = SpectralState(np.array([3.0, 4.0]))
-        assert u.truncation == 2
-        assert np.all(SpectralState.zero(3).coeffs == 0.0)
-        with pytest.raises(DomainError):
-            SpectralState(np.array([1.0, math.nan]))
 
 
 class TestDelayFn:
@@ -63,6 +54,17 @@ class TestNonlinearityFn:
 
 
 class TestModelValidation:
+    def test_initial_states_checked(self):
+        # a state's length and finiteness are checked where the model is
+        # built, and the message names the field
+        for field in ("u0", "v0"):
+            for bad in (np.array([1.0, math.nan]), np.ones(3), np.ones((2, 1))):
+                with pytest.raises(ModelValidationError, match=field):
+                    _model(n=2, **{field: bad})
+            m = _model(n=2, **{field: [3, 4]})
+            assert getattr(m, field).dtype == float
+            assert np.array_equal(getattr(m, field), [3.0, 4.0])
+
     def test_eigenvalue_count_checked(self):
         with pytest.raises(ModelValidationError):
             _model(n=3, eigenvalues=[1.0, 4.0])
@@ -147,7 +149,7 @@ class TestOperatorFamilies:
 
     def test_truncation_mismatch_rejected(self):
         with pytest.raises(ModelValidationError):
-            _model(n=2, u0=SpectralState(np.ones(3)))
+            _model(n=2, u0=np.ones(3))
 
 
 class TestFactorTables:
@@ -205,7 +207,7 @@ class TestMultipliers:
 
 class TestPhysicalSynthesis:
     def test_single_mode_peak_and_boundaries(self):
-        u = SpectralState(np.array([1.0]))
+        u = np.array([1.0])
         vals = synthesize_physical(u, [0.0, math.pi / 2.0, math.pi])
         assert vals[0] == pytest.approx(0.0, abs=1e-15)
         assert vals[1] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
@@ -213,8 +215,8 @@ class TestPhysicalSynthesis:
 
     def test_parseval(self):
         rng = np.random.default_rng(11)
-        u = SpectralState(rng.standard_normal(16))
+        u = rng.standard_normal(16)
         x = np.linspace(0.0, math.pi, 20001)
         vals = synthesize_physical(u, x)
         l2 = np.sqrt(np.trapezoid(vals ** 2, x))
-        assert l2 == pytest.approx(np.linalg.norm(u.coeffs), rel=1e-4)
+        assert l2 == pytest.approx(np.linalg.norm(u), rel=1e-4)
