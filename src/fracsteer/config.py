@@ -172,7 +172,10 @@ def synthesize_shape(spec: str, n: int) -> np.ndarray:
             raise ValueError("gaussian_bump width must be positive")
         s, w = gauss_legendre(_GAUSS_NODES)
         x, w = math.pi * s, math.pi * w
-        f = np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
+        # a width whose square underflows gives inf or 0/0 here, which
+        # the state checks reject with the key; numpy need not warn first
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f = np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
         modes = np.arange(1, n + 1)
         basis = math.sqrt(2.0 / math.pi) * np.sin(np.outer(modes, x))
         return basis @ (w * f)
@@ -217,7 +220,7 @@ def _descriptor_text(d, text=None) -> str:
 
 def _nonlinearity(text: str, n: int) -> NonlinearityFn:
     f = _descriptor(NonlinearityFn)(text)
-    # an infinite bound would also switch off the solver's (H6) check
+    # (H6) asks for a finite bound on the norm of F
     if f.kind == "bounded_tanh" and not math.isfinite(f.bound(n)):
         raise ModelValidationError(
             f"the norm bound |kappa| sqrt({n}) of {text} is not finite",

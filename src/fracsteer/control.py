@@ -145,18 +145,22 @@ def closed_loop_solve(cp: ControlProblem, cfg: SolverConfig):
     m = cp.model
     traj = picard_solve(m, cfg, control=None)
     history = []
-    for _ in range(cp.outer_max_iters):
-        mu = synthesize_control(cp, traj)
-        new = picard_solve(m, cfg, control=mu)
-        change = float(np.max(np.linalg.norm(new.states - traj.states, axis=1)))
-        history.append(change)
-        traj = new
-        if change < cp.outer_tol:
-            residual = float(np.linalg.norm(traj.states[-1] - cp.target))
-            return traj, residual
+    # as in picard_solve, the first non-finite change ends the alternation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cp.outer_max_iters):
+            mu = synthesize_control(cp, traj)
+            new = picard_solve(m, cfg, control=mu)
+            change = float(np.max(np.linalg.norm(new.states - traj.states, axis=1)))
+            history.append(change)
+            traj = new
+            if change < cp.outer_tol:
+                residual = float(np.linalg.norm(traj.states[-1] - cp.target))
+                return traj, residual
+            if not math.isfinite(change):
+                break
     raise PicardDivergenceError(
-        f"control/trajectory alternation did not settle in "
-        f"{cp.outer_max_iters} rounds (last change {history[-1]:.3e})",
+        f"control/trajectory alternation did not settle after {len(history)} "
+        f"of {cp.outer_max_iters} rounds (last change {history[-1]:.3e})",
         residual_history=history)
 
 

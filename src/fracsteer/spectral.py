@@ -159,6 +159,10 @@ class ModelSpec:
         object.__setattr__(self, "eigenvalues", lam)
         for name in ("u0", "v0"):
             object.__setattr__(self, name, _state_vector(name, getattr(self, name), n))
+        with np.errstate(over="ignore"):
+            start = self.u0 + self.v0  # the solver's starting offset
+        if not np.all(np.isfinite(start)):
+            raise ModelValidationError("u0 + v0 overflows: their sum must be finite")
 
         object.__setattr__(self, "state_delays", tuple(self.state_delays))
         object.__setattr__(self, "control_delays", tuple(self.control_delays))
@@ -197,11 +201,6 @@ class ModelSpec:
     @property
     def control_delay_count(self) -> int:
         return len(self.control_delays)
-
-    def f_bound_total(self) -> float:
-        if not self.state_delays:
-            return 0.0
-        return self.nonlinearity.bound(self.truncation)
 
     # --- per-mode eigenfactors -------------------------------------------
 

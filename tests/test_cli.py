@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import fracsteer
-from fracsteer import cli, verify
+from fracsteer import cli, config, verify
 from fracsteer.cli import main
 from fracsteer.errors import (DomainError, ModelValidationError,
                               PicardDivergenceError)
 from fracsteer.config import parse_config
+from fracsteer.special import gauss_legendre
 
 SRC = os.path.dirname(os.path.dirname(fracsteer.__file__))
 
@@ -402,6 +403,41 @@ class TestRunErrors:
         assert len(rows) == 1 and rows[0][0] == "0" and float(rows[0][1]) > 0.0
         err = capsys.readouterr().err
         assert err.startswith("synthesize: ") and err.count("\n") == 1
+
+
+class TestOverflowEndsInOneLine:
+    # each config overflows or underflows a double on the way; the run ends
+    # in its one error line, and numpy warns of nothing before it
+    SHIPPED = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
+    NODE = math.pi * float(gauss_legendre(config._GAUSS_NODES)[0][0])
+
+    @pytest.mark.parametrize("old, new, status, message", [
+        # 2 w^2 underflows, and the bump is 0/0 on its centre node
+        ("target = gaussian_bump(1.5707963267948966, 0.4)",
+         f"target = gaussian_bump({NODE!r}, 1e-300)", 2,
+         "[control]: target coefficients must be finite"),
+        # each state is finite, their sum is not
+        ("u0 = gaussian_bump(1.0, 0.35)\nv0 = zero",
+         "u0 = single_mode(1, 1e308)\nv0 = single_mode(1, 1e308)", 2,
+         "[model]: u0 + v0 overflows"),
+        # bounded, but the first change of the iterate overflows its norm
+        ("bounded_tanh(0.1)", "bounded_tanh(1e300)", 1,
+         "simulate: no contraction after 1 of 200 iterations (last change inf)"),
+    ], ids=["underflowing-bump", "overflowing-start", "huge-tanh"])
+    def test_one_line_without_warnings(self, tmp_path, old, new, status, message):
+        assert old in self.SHIPPED
+        cfg = _cfg_file(tmp_path, self.SHIPPED.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracsteer.cli",
+             "--config", cfg, "--out", str(tmp_path), "--steps", "16", "simulate"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == status, done.stderr
+        assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert message in lines[-1]
+        if status == 1:
+            assert len(lines) == 1
 
 
 class TestImports:

@@ -1,16 +1,19 @@
 """Steering control: Grammian, resolvent, closed loop, beta sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from fracsteer import control
 from fracsteer.control import (ControlProblem, beta_sweep, closed_loop_solve,
                                compute_grammian, control_energy,
                                residual_p, resolvent_apply, synthesize_control)
-from fracsteer.errors import DomainError, ModelValidationError
+from fracsteer.errors import (DomainError, ModelValidationError,
+                              PicardDivergenceError)
 from fracsteer.gammafn import gamma
-from fracsteer.solver import SolverConfig, picard_solve
+from fracsteer.solver import SolverConfig, Trajectory, picard_solve
 from fracsteer.special import ml
 from fracsteer.spectral import DelayFn, ModelSpec
 
@@ -181,6 +184,24 @@ class TestClosedLoop:
         free = picard_solve(m, cfg)
         gap = abs(free.states[-1, 0] - 1.0)
         assert res == pytest.approx(gap, rel=1e-3)
+
+    def test_first_non_finite_change_ends_the_loop(self, monkeypatch):
+        # a controlled solve that returns an overflowed trajectory ends the
+        # alternation at once, without a numpy warning
+        m = _model(n=1, u0=[1.0])
+        cfg = SolverConfig(n_steps=16)
+        free = picard_solve(m, cfg)
+        blown = Trajectory(free.dt, np.full_like(free.states, math.inf),
+                           free.forcing)
+        monkeypatch.setattr(control, "picard_solve",
+                            lambda m, cfg, control=None: free if control is None else blown)
+        cp = ControlProblem(model=m, target=np.array([1.0]), beta=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PicardDivergenceError) as e:
+                closed_loop_solve(cp, cfg)
+        assert e.value.residual_history == [math.inf]
+        assert "after 1 of 100 rounds" in str(e.value)
 
 
 class TestControlProblem:

@@ -1,6 +1,7 @@
 """Mild-solution solver: offsets, delayed sampling, Picard fixed point."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,18 @@ class TestPicard:
             errs = [abs(tr.states[k, 0] - ml(a, 1.0, -(tr.dt * k) ** a))
                     for k in range(1, 257)]
             assert max(errs) < 1e-3
+
+    def test_first_non_finite_change_ends_the_solve(self):
+        # finite data whose nonlocal offset 10 u(1/2) overflows: the solve
+        # stops on the first change, without a numpy warning
+        m = _model(n=1, u0=[1e308], nonlocal_terms=((10.0, 0.5),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PicardDivergenceError) as e:
+                picard_solve(m, SolverConfig(n_steps=16))
+        history = e.value.residual_history
+        assert len(history) == 1 and not math.isfinite(history[0])
+        assert "after 1 of 200 iterations" in str(e.value)
 
     def test_classical_relaxation(self):
         m = _model(n=2, alpha=1.0, u0=[1.0, 1.0])

@@ -1,6 +1,9 @@
 """Probability-density and Mittag-Leffler kernel routines."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -18,6 +21,22 @@ from fracsteer.verify import route_quadrature, theta_rule, wright_moment
 
 
 _SERIES_MP_MAX_TERMS = 10_000
+SRC = os.path.dirname(os.path.dirname(special.__file__))
+
+
+def _gauss_legendre_oracle(n, s0):
+    """The node of the order-n Gauss-Legendre rule on [0, 1] next to s0,
+    and its weight, by Newton's method on the Legendre recurrence at 40
+    digits."""
+    with mp.workdps(40):
+        x = 2 * mp.mpf(float(s0)) - 1
+        for _ in range(3):
+            p0, p1 = mp.mpf(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (p0 - x * p1) / (1 - x * x)
+            x -= p1 / dp
+        return (x + 1) / 2, 1 / ((1 - x * x) * dp * dp)
 
 
 def _ml_series_mp(alpha, beta, z):
@@ -175,6 +194,58 @@ class TestDensity:
         for arr in (s, w):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    @pytest.mark.parametrize("n", [64, 256, 400])
+    def test_gauss_legendre_against_oracle(self, n):
+        # every rule the package builds: the Wright integral (256), the
+        # negative-axis panels and the theta rule (64), shape projection (400)
+        s, w = gauss_legendre(n)
+        for i in (0, 1, n // 4, n // 2, 3 * n // 4, n - 2, n - 1):
+            node, weight = _gauss_legendre_oracle(n, s[i])
+            assert abs(float(s[i] - node)) <= 2e-16, (n, i)
+            assert abs(float(w[i] / weight - 1)) <= 1e-11, (n, i)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 256, 400])
+    def test_gauss_legendre_exact_and_symmetric(self, n):
+        s, w = gauss_legendre(n)
+        assert np.all(np.diff(s) > 0.0) and 0.0 < s[0] and s[-1] < 1.0
+        assert np.array_equal(w, w[::-1])
+        assert np.max(np.abs(s + s[::-1] - 1.0)) <= 2.2e-16
+        # int_0^1 s^k ds = 1 / (k + 1) for every k <= 2n - 1
+        for k in sorted({0, 1, n, 2 * n - 2, 2 * n - 1}):
+            assert w @ s ** k == pytest.approx(1.0 / (k + 1), rel=1e-13), k
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs per-thread CPU times from /proc")
+    def test_building_rules_leaves_the_blas_pool_asleep(self):
+        # a LAPACK call would wake the BLAS worker threads, which then
+        # spin for about 0.1 s of CPU with nothing to do
+        code = ("import glob, os, time\n"
+                "from importlib import resources\n"
+                "def others():\n"
+                "    ticks = 0\n"
+                "    for path in glob.glob('/proc/self/task/*/stat'):\n"
+                "        if int(path.split('/')[-2]) != os.getpid():\n"
+                "            with open(path) as f:\n"
+                "                fields = f.read().rsplit(')', 1)[1].split()\n"
+                "            ticks += int(fields[11]) + int(fields[12])\n"
+                "    return ticks / os.sysconf('SC_CLK_TCK')\n"
+                "import fracsteer.cli\n"
+                "from fracsteer.config import parse_config\n"
+                "from fracsteer.special import gauss_legendre\n"
+                "time.sleep(0.3)\n"
+                "before = others()\n"
+                "for n in (64, 256, 400):\n"
+                "    gauss_legendre(n)\n"
+                "parse_config((resources.files('fracsteer') / 'data'"
+                " / 'default.cfg').read_text())\n"
+                "time.sleep(0.3)\n"
+                "print(others() - before)\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert float(done.stdout) <= 0.02
 
     def test_theta_rule_closed_form(self):
         # int_0^c e^{-th^2/4} / sqrt(pi) dth = erf(c/2)

@@ -65,6 +65,12 @@ class TestModelValidation:
             assert getattr(m, field).dtype == float
             assert np.array_equal(getattr(m, field), [3.0, 4.0])
 
+    def test_initial_sum_checked(self):
+        # each state is finite, but the solver's offset u0 + v0 is not
+        with pytest.raises(ModelValidationError, match=r"u0 \+ v0 overflows"):
+            _model(n=2, u0=[1e308, 0.0], v0=[1e308, 0.0])
+        assert _model(n=2, u0=[1e308, 0.0], v0=[-1e308, 1.0]).v0[0] == -1e308
+
     def test_eigenvalue_count_checked(self):
         with pytest.raises(ModelValidationError):
             _model(n=3, eigenvalues=[1.0, 4.0])
@@ -100,8 +106,8 @@ class TestModelValidation:
         states = np.linspace(-5.0, 5.0, 18).reshape(9, 2)
         rows = np.linalg.norm(
             _nonlinearity_rows(m, build_grid_operators(m, 8), states), axis=1)
-        assert np.all(rows <= m.f_bound_total())
-        assert rows.max() > 0.5 * m.f_bound_total()
+        assert np.all(rows <= tanh.bound(m.truncation))
+        assert rows.max() > 0.5 * tanh.bound(m.truncation)
         free = _model(nonlinearity=tanh)
         assert np.all(_nonlinearity_rows(
             free, build_grid_operators(free, 8), states) == 0.0)
