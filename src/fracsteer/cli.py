@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from . import config as configmod
-from .control import ControlProblem, beta_sweep, closed_loop_solve, synthesize_control
+from .control import beta_sweep, closed_loop_solve, synthesize_control
 from .errors import (ConfigError, DomainError, ModelValidationError,
                      PicardDivergenceError)
 from .solver import picard_solve
@@ -101,25 +101,19 @@ def run_simulate(cfg, path) -> int:
 
 
 def run_synthesize(cfg, path) -> int:
-    beta = cfg.betas[0]
-    cp = ControlProblem(model=cfg.model, target=cfg.target, beta=beta,
-                        outer_tol=cfg.outer_tol,
-                        outer_max_iters=cfg.outer_max_iters)
+    cp = cfg.problem  # at the first beta
     traj, residual = closed_loop_solve(cp, cfg.solver)
     mu = synthesize_control(cp, traj)[-1]
     header = ["t"] + [f"mode_{i}" for i in range(1, traj.truncation + 1)]
     rows = [[t, *mu[k]] for k, t in enumerate(traj.grid())]
-    _write_csv(path, _meta(cfg) + [("beta", _fmt(beta))], header, rows,
+    _write_csv(path, _meta(cfg) + [("beta", _fmt(cp.beta))], header, rows,
                trailer=[("terminal_residual", _fmt(residual))])
     return 0
 
 
 def run_sweep(cfg, path) -> int:
-    cp = ControlProblem(model=cfg.model, target=cfg.target, beta=cfg.betas[0],
-                        outer_tol=cfg.outer_tol,
-                        outer_max_iters=cfg.outer_max_iters)
     # only the uncontrolled solve's divergence escapes; each beta flags its own
-    report = beta_sweep(cp, cfg.betas, cfg.solver)
+    report = beta_sweep(cfg.problem, cfg.betas, cfg.solver)
     rows = list(zip(report.betas, report.residuals,
                     report.control_energies, report.converged))
     _write_csv(path, _meta(cfg) + [("uncontrolled_gap", _fmt(report.uncontrolled_gap))],

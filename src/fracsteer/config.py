@@ -31,15 +31,16 @@ _BARE_KINDS = ("identity", "zero")  # descriptors written without a parameter
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: ModelSpec
+    problem: ControlProblem  # the model and target, at the first beta
     solver: SolverConfig
-    target: np.ndarray
     betas: tuple
-    outer_tol: float
-    outer_max_iters: int
     output_dir: str
     x_points: tuple
     sections: tuple  # canonical ((section, ((key, value), ...)), ...)
+
+    @property
+    def model(self) -> ModelSpec:
+        return self.problem.model
 
     def to_text(self) -> str:
         lines = []
@@ -220,8 +221,8 @@ def _descriptor_text(d, text=None) -> str:
 
 def _nonlinearity(text: str, n: int) -> NonlinearityFn:
     f = _descriptor(NonlinearityFn)(text)
-    # (H6) asks for a finite bound on the norm of F
-    if f.kind == "bounded_tanh" and not math.isfinite(f.bound(n)):
+    # (H6) asks for a finite bound on the norm of F: |kappa| sqrt(N) for tanh
+    if f.kind == "bounded_tanh" and not math.isfinite(abs(f.param) * math.sqrt(n)):
         raise ModelValidationError(
             f"the norm bound |kappa| sqrt({n}) of {text} is not finite",
             hypothesis="(H6)")
@@ -258,7 +259,8 @@ def _betas(text: str, n=None) -> tuple:
 # canonical order.  Every parser takes (text, truncation) and every emitter
 # (value, text), most ignoring the second; a key whose parser needs the
 # truncation comes after it.  The model and solver keys are the fields of
-# ModelSpec and SolverConfig, the control keys those of ExperimentConfig.
+# ModelSpec and SolverConfig, the control keys those of ControlProblem
+# (``betas`` gives its beta and the sweep's).
 _SHAPE = (synthesize_shape, _given, "zero")
 _DELAYS = (_listed(_descriptor(DelayFn)), _joined(_descriptor_text), "none")
 _MULTIPLIERS = (_listed(_multiplier), _given, "none")
@@ -383,9 +385,10 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     t_max = max(spec.horizon, time_grid(spec.horizon, solver_cfg.n_steps)[1][-1])
     _check_reach(values["model"], t_max, lines)
     control = values["control"]
-    with _reported("[control]"):  # the target's length and finiteness
-        ControlProblem(spec, control["target"], control["betas"][0])
+    with _reported("[control]"):  # the target's length, finiteness and norm
+        problem = ControlProblem(spec, control["target"], control["betas"][0],
+                                 control["outer_tol"], control["outer_max_iters"])
     output = values["output"]
-    return ExperimentConfig(spec, solver_cfg, **control,
+    return ExperimentConfig(problem, solver_cfg, control["betas"],
                             output_dir=output["dir"], x_points=output["x_points"],
                             sections=tuple(sections))

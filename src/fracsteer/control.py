@@ -31,6 +31,11 @@ class ControlProblem:
             raise DomainError(f"beta must be positive, got {self.beta}")
         object.__setattr__(self, "target", _state_vector(
             "target", self.target, self.model.truncation))
+        # every terminal residual is a distance to the target
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.target))
+        if not math.isfinite(norm):
+            raise ModelValidationError("the norm of target overflows: it must be finite")
         if self.outer_tol <= 0.0:
             raise DomainError("outer_tol must be positive")
         if self.outer_max_iters < 1:
@@ -59,13 +64,18 @@ def compute_grammian(m: ModelSpec, n_steps: int) -> np.ndarray:
     if m.control_delay_count < 1:
         raise ModelValidationError("the model has no control channel")
     ops = build_grid_operators(m, n_steps)
-    # quadrature weight of lag j, matching the solver's memory integral
-    w_by_lag = np.empty(n_steps + 1)
-    w_by_lag[0] = ops.last
-    w_by_lag[1:n_steps] = ops.lag[1:n_steps]
-    w_by_lag[n_steps] = ops.first[n_steps]
-    base = np.einsum("j,jm,jm->m", w_by_lag, ops.efac_mem, ops.t_factors)
-    return np.sum([b * b * base for b in m.control_multipliers], axis=0)
+    # the solver's quadrature weights of the terminal node, by lag
+    by_lag = ops.kernel.row(n_steps)[::-1]
+    base = np.einsum("j,jm,jm->m", by_lag, ops.efac_mem, ops.t_factors)
+    gram = np.sum([b * b * base for b in m.control_multipliers], axis=0)
+    dead = np.flatnonzero(gram <= 0.0) + 1
+    if dead.size:
+        shown = ", ".join(map(str, dead[:5])) + (", ..." if dead.size > 5 else "")
+        raise ModelValidationError(
+            f"gamma_n <= 0 on {dead.size} of {m.truncation} modes (n = {shown}): "
+            "the linear part is approximately controllable only if gamma_n > 0 "
+            "on every mode")
+    return gram
 
 
 def resolvent_apply(g: np.ndarray, beta: float, v: np.ndarray) -> np.ndarray:
@@ -119,10 +129,8 @@ def synthesize_control(cp: ControlProblem, traj: Trajectory):
     channels are zero.
     """
     m = cp.model
-    if m.control_delay_count < 1:
-        raise ModelValidationError("the model has no control channel")
     n = traj.n_steps
-    gram = compute_grammian(m, n)
+    gram = compute_grammian(m, n)  # also rejects a model with no control channel
     p = residual_p(cp, traj)
     r = resolvent_apply(gram, cp.beta, p)
     times = traj.dt * np.arange(n + 1)

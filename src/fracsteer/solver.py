@@ -20,7 +20,7 @@ import numpy as np
 from .backend import memory_convolve
 from .errors import (DomainError, GridMismatchError, ModelValidationError,
                      PicardDivergenceError)
-from .fractional import convolution_kernel
+from .fractional import ConvolutionKernel, convolution_kernel
 from .gammafn import gamma
 from .special import ml_array
 from .spectral import ModelSpec
@@ -126,9 +126,7 @@ class _GridOperators:
     dt: float
     s_factors: np.ndarray       # (n+1, N): E_{a,1} factors at each grid lag
     t_factors: np.ndarray       # (n+1, N): E_{a,a} factors at each grid lag
-    first: np.ndarray
-    lag: np.ndarray
-    last: float
+    kernel: ConvolutionKernel   # product-trapezoidal weights of the grid
     w0: np.ndarray              # (N,): exact lag-0 node weight of [0, dt]
     w1: np.ndarray              # (N,): exact lag-dt node weight of [0, dt]
     efac_mem: np.ndarray        # t_factors with rows 0/1 folded to w0/w1
@@ -171,8 +169,7 @@ def build_grid_operators(m: ModelSpec, n_steps: int) -> _GridOperators:
     cstencils = tuple(
         _interp_stencil(dt, n_steps, [max(d(t), 0.0) for t in times])
         for d in m.control_delays)
-    return _GridOperators(dt, s_fac, t_fac, kern.first_node, kern.lag,
-                          kern.last_node, w0, w1, efac_mem, off,
+    return _GridOperators(dt, s_fac, t_fac, kern, w0, w1, efac_mem, off,
                           dstencils, cstencils)
 
 
@@ -183,7 +180,8 @@ def memory_integral(ops: _GridOperators, g: np.ndarray) -> np.ndarray:
     kernel (power times eigenfactor) handled exactly on the most recent
     step and product-trapezoidally beyond it.
     """
-    mem = memory_convolve(ops.first, ops.lag, ops.last, ops.efac_mem, g)
+    k = ops.kernel
+    mem = memory_convolve(k.first_node, k.lag, k.last_node, ops.efac_mem, g)
     if mem.shape[0] > 1:
         # the folded row-1 factor is only correct for targets i >= 2
         mem[1] = ops.w0 * g[1] + ops.w1 * g[0]

@@ -109,13 +109,6 @@ class NonlinearityFn:
             raise ModelValidationError(
                 f"unknown nonlinearity {self.kind!r}; choose from {_NONLINEARITY_KINDS}")
 
-    def bound(self, truncation: int) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "bounded_tanh":
-            return abs(self.param) * math.sqrt(truncation)
-        return math.inf
-
     def __call__(self, avg: np.ndarray) -> np.ndarray:
         if self.kind == "zero":
             return np.zeros_like(avg)

@@ -32,11 +32,13 @@ def density_rule(alpha):
     return th, w * np.array([wright_pdf(a, t) for t in th])
 
 
-def route_quadrature(alpha: float, x: float, power: int) -> float:
-    """a^power int_0^inf th^power zeta_a(th) e^{-x th} dth, on ``density_rule``:
-    the S_alpha eigenfactor E_{a,1}(-x) at power 0, T_alpha's E_{a,a}(-x) at 1."""
-    th, w = density_rule(alpha)
-    return _as_alpha(alpha) ** power * float(w @ (th ** power * np.exp(-x * th)))
+def route_quadrature(alpha: float, rule, x: float) -> tuple:
+    """(E_{a,1}(-x), E_{a,a}(-x)), the S_alpha and T_alpha eigenfactors, as
+    int_0^inf zeta_a(th) e^{-x th} dth and a int_0^inf th zeta_a(th) e^{-x th} dth
+    on ``rule``, the ``density_rule(alpha)``."""
+    th, w = rule
+    decay = np.exp(-x * th)
+    return float(w @ decay), alpha * float(w @ (th * decay))
 
 
 def wright_moment(alpha, nu: float) -> float:
@@ -50,8 +52,8 @@ def wright_moment(alpha, nu: float) -> float:
 def kernel_checks():
     """(name, measured_error, threshold) rows for the property suite."""
     rows = []
-    for a in (0.3, 0.5, 0.7, 0.9):
-        _, w = density_rule(a)
+    rules = {a: density_rule(a) for a in (0.3, 0.5, 0.7, 0.9)}
+    for a, (_, w) in rules.items():
         rows.append((f"density_normalization_alpha_{a}", abs(w.sum() - 1.0), 1e-6))
 
     thetas = np.linspace(0.05, 5.0, 50)
@@ -67,16 +69,15 @@ def kernel_checks():
         worst = max(worst, float(max(0.0, -vals.min())))
     rows.append(("density_nonnegative", worst, 0.0))
 
-    th, w = density_rule(0.7)
+    th, w = rules[0.7]
     for nu in (0.5, 1.0, 2.0):
         rows.append((f"density_moment_nu_{nu}",
                      abs(w @ th ** nu - wright_moment(0.7, nu)), 1e-6))
 
     for a, x in ((0.5, 1.0), (0.7, 2.0)):
-        rows.append((f"bridge_first_kind_alpha_{a}",
-                     abs(route_quadrature(a, x, 0) - ml(a, 1.0, -x)), 1e-7))
-        rows.append((f"bridge_second_kind_alpha_{a}",
-                     abs(route_quadrature(a, x, 1) - ml(a, a, -x)), 1e-7))
+        first, second = route_quadrature(a, rules[a], x)
+        rows.append((f"bridge_first_kind_alpha_{a}", abs(first - ml(a, 1.0, -x)), 1e-7))
+        rows.append((f"bridge_second_kind_alpha_{a}", abs(second - ml(a, a, -x)), 1e-7))
 
     # singular weights exact on linear integrands
     worst = 0.0

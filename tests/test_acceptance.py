@@ -8,6 +8,7 @@ fixture (echoed in the terminal summary).
 import math
 import os
 import time
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -22,7 +23,7 @@ from fracsteer.gammafn import gamma
 from fracsteer.solver import SolverConfig, mild_residual, picard_solve
 from fracsteer.special import ml, underflow_cutoff, wright_pdf
 from fracsteer.spectral import DelayFn, ModelSpec, NonlinearityFn
-from fracsteer.verify import route_quadrature
+from fracsteer.verify import density_rule, route_quadrature
 
 
 def _default_text():
@@ -94,8 +95,9 @@ def test_criterion_3_density_route_bridge(acceptance_report):
         lam = rng.uniform(0.1, 50.0)
         t = rng.uniform(0.05, 2.0)
         x = lam * t ** a
-        ok &= abs(route_quadrature(a, x, 0) - ml(a, 1.0, -x)) <= 1e-7
-        ok &= abs(route_quadrature(a, x, 1) - ml(a, a, -x)) <= 1e-7
+        first, second = route_quadrature(a, density_rule(a), x)
+        ok &= abs(first - ml(a, 1.0, -x)) <= 1e-7
+        ok &= abs(second - ml(a, a, -x)) <= 1e-7
     assert acceptance_report(3, "quadrature/series bridge", ok)
 
 
@@ -221,9 +223,7 @@ def test_criterion_8_mild_residual(acceptance_report):
     tol = cfg.solver.picard_tol
     free = picard_solve(cfg.model, cfg.solver)
     ok = mild_residual(cfg.model, free) <= 2.0 * tol
-    cp = ControlProblem(model=cfg.model, target=cfg.target, beta=1e-2,
-                        outer_tol=cfg.outer_tol,
-                        outer_max_iters=cfg.outer_max_iters)
+    cp = replace(cfg.problem, beta=1e-2)
     traj, _ = closed_loop_solve(cp, cfg.solver)
     ok &= mild_residual(cfg.model, traj) <= 2.0 * tol
     assert acceptance_report(8, "mild-solution defect", ok)

@@ -59,7 +59,8 @@ def test_matches_dense_row_oracle_on_stiff_eigenfactors():
     ops = build_grid_operators(m, n)
     kern = convolution_kernel(1.0, n, ops.dt)
     g = np.random.default_rng(4).standard_normal((n + 1, 32))
-    got = memory_convolve(ops.first, ops.lag, ops.last, ops.efac_mem, g)
+    k = ops.kernel
+    got = memory_convolve(k.first_node, k.lag, k.last_node, ops.efac_mem, g)
     want = _dense_oracle(kern, ops.efac_mem, g)
     assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) <= 1e-13
 

@@ -411,26 +411,40 @@ class TestOverflowEndsInOneLine:
     SHIPPED = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
     NODE = math.pi * float(gauss_legendre(config._GAUSS_NODES)[0][0])
 
-    @pytest.mark.parametrize("old, new, status, message", [
+    @pytest.mark.parametrize("old, new, command, status, message", [
         # 2 w^2 underflows, and the bump is 0/0 on its centre node
         ("target = gaussian_bump(1.5707963267948966, 0.4)",
-         f"target = gaussian_bump({NODE!r}, 1e-300)", 2,
+         f"target = gaussian_bump({NODE!r}, 1e-300)", "simulate", 2,
          "[control]: target coefficients must be finite"),
         # each state is finite, their sum is not
         ("u0 = gaussian_bump(1.0, 0.35)\nv0 = zero",
-         "u0 = single_mode(1, 1e308)\nv0 = single_mode(1, 1e308)", 2,
+         "u0 = single_mode(1, 1e308)\nv0 = single_mode(1, 1e308)", "simulate", 2,
          "[model]: u0 + v0 overflows"),
         # bounded, but the first change of the iterate overflows its norm
-        ("bounded_tanh(0.1)", "bounded_tanh(1e300)", 1,
+        ("bounded_tanh(0.1)", "bounded_tanh(1e300)", "simulate", 1,
          "simulate: no contraction after 1 of 200 iterations (last change inf)"),
-    ], ids=["underflowing-bump", "overflowing-start", "huge-tanh"])
-    def test_one_line_without_warnings(self, tmp_path, old, new, status, message):
+        # each coefficient is finite, the norm every residual measures is not
+        ("target = gaussian_bump(1.5707963267948966, 0.4)",
+         "target = single_mode(1, 1e308)", "sweep", 2,
+         "[control]: the norm of target overflows"),
+        # the steering multiplier squared underflows: gamma_n = 0 everywhere
+        ("control_multipliers = zero, identity",
+         "control_multipliers = zero, constant(1e-300)", "sweep", 1,
+         "sweep: gamma_n <= 0 on 32 of 32 modes"),
+        ("control_multipliers = zero, identity",
+         "control_multipliers = zero, constant(1e-300)", "synthesize", 1,
+         "synthesize: gamma_n <= 0 on 32 of 32 modes"),
+    ], ids=["underflowing-bump", "overflowing-start", "huge-tanh",
+            "overflowing-target-norm", "underflowing-grammian-sweep",
+            "underflowing-grammian-synthesize"])
+    def test_one_line_without_warnings(self, tmp_path, old, new, command, status,
+                                       message):
         assert old in self.SHIPPED
         cfg = _cfg_file(tmp_path, self.SHIPPED.replace(old, new))
         env = dict(os.environ, PYTHONPATH=SRC)
         done = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracsteer.cli",
-             "--config", cfg, "--out", str(tmp_path), "--steps", "16", "simulate"],
+             "--config", cfg, "--out", str(tmp_path), "--steps", "16", command],
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == status, done.stderr
         assert "Warning" not in done.stderr and "Traceback" not in done.stderr

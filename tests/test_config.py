@@ -237,7 +237,9 @@ class TestControlValues:
         cfg = parse_config(MINIMAL + "\n[control]\nbetas = 0.5, 0.05\n"
                            "outer_tol = 1e-9\nouter_max_iters = 1\n")
         assert cfg.betas == (0.5, 0.05)
-        assert cfg.outer_max_iters == 1
+        assert cfg.problem.outer_max_iters == 1
+        assert cfg.problem.outer_tol == 1e-9
+        assert cfg.problem.beta == 0.5
 
 
 class TestMittagLefflerRange:
@@ -318,7 +320,7 @@ class TestCanonicalForm:
         assert again.sections == cfg.sections
         assert again.digest() == cfg.digest()
         assert np.array_equal(again.model.u0, cfg.model.u0)
-        assert np.array_equal(again.target, cfg.target)
+        assert np.array_equal(again.problem.target, cfg.problem.target)
         assert again.betas == cfg.betas
 
     def test_digest_tracks_content(self):

@@ -31,9 +31,16 @@ def _model(n=1, alpha=1.0, lam=None, u0=None, b=None, **kw):
 
 class TestGrammian:
     def test_zero_multiplier(self):
+        # a channel that reaches no mode cannot steer: gamma_n = 0 is an error
         m = _model(n=3, b=np.zeros(3))
-        g = compute_grammian(m, 64)
-        assert np.all(g == 0.0)
+        with pytest.raises(ModelValidationError, match=r"on 3 of 3 modes \(n = 1, 2, 3\)"):
+            compute_grammian(m, 64)
+        # one dead mode of three is enough, and the message names it
+        with pytest.raises(ModelValidationError, match=r"1 of 3 modes \(n = 2\)"):
+            compute_grammian(_model(n=3, b=np.array([1.0, 0.0, 1.0])), 64)
+        # a long list is cut after five modes
+        with pytest.raises(ModelValidationError, match=r"\(n = 1, 2, 3, 4, 5, \.\.\.\)"):
+            compute_grammian(_model(n=7, b=np.zeros(7)), 64)
 
     def test_classical_single_mode(self):
         # alpha=1, lambda=1: gamma = int_0^1 e^{-2(1-s)} ds = (1-e^{-2})/2
@@ -55,8 +62,12 @@ class TestGrammian:
     def test_requires_control_channel(self):
         m = ModelSpec(truncation=1, alpha=0.5, horizon=1.0,
                       u0=np.zeros(1), v0=np.zeros(1))
-        with pytest.raises(ModelValidationError):
+        with pytest.raises(ModelValidationError, match="no control channel"):
             compute_grammian(m, 64)
+        # the synthesis meets the same check through its Grammian
+        cp = ControlProblem(model=m, target=np.zeros(1), beta=0.1)
+        with pytest.raises(ModelValidationError, match="no control channel"):
+            synthesize_control(cp, picard_solve(m, SolverConfig(n_steps=8)))
 
     def test_positive_semidefinite_symmetric(self):
         m = _model(n=6, alpha=0.6, lam=np.arange(1.0, 7.0) ** 2)
@@ -214,6 +225,13 @@ class TestControlProblem:
         cp = ControlProblem(model=_model(n=2), target=[3, 4], beta=0.1)
         assert cp.target.dtype == float
         assert np.array_equal(cp.target, [3.0, 4.0])
+
+    def test_target_norm_checked(self):
+        # each coefficient is finite, the norm every residual measures is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelValidationError, match="norm of target overflows"):
+                ControlProblem(model=_model(n=2), target=[1e308, 0.0], beta=0.1)
 
 
 class TestBetaSweep:

@@ -11,13 +11,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fracsteer import special
+from fracsteer import special, verify
 from fracsteer.errors import DomainError
 from fracsteer.gammafn import gamma, rgamma
 from fracsteer.special import (ML_NEG_Z_LIMIT, _wright_integral,
                                _wright_series_double, gauss_legendre, ml,
                                ml_array, underflow_cutoff, wright_pdf)
-from fracsteer.verify import route_quadrature, theta_rule, wright_moment
+from fracsteer.verify import (density_rule, route_quadrature, theta_rule,
+                              wright_moment)
 
 
 _SERIES_MP_MAX_TERMS = 10_000
@@ -615,7 +616,14 @@ class TestRouteQuadratures:
         for _ in range(20):
             a = rng.uniform(0.3, 0.95)
             x = rng.uniform(0.1, 30.0)
-            assert route_quadrature(a, x, 0) == pytest.approx(
-                ml(a, 1.0, -x), abs=1e-7, rel=1e-7)
-            assert route_quadrature(a, x, 1) == pytest.approx(
-                ml(a, a, -x), abs=1e-7, rel=1e-7)
+            first, second = route_quadrature(a, density_rule(a), x)
+            assert first == pytest.approx(ml(a, 1.0, -x), abs=1e-7, rel=1e-7)
+            assert second == pytest.approx(ml(a, a, -x), abs=1e-7, rel=1e-7)
+
+    def test_kernel_checks_build_each_rule_once(self, monkeypatch):
+        # one density rule per order the suite quadratures use
+        built = []
+        monkeypatch.setattr(verify, "density_rule",
+                            lambda a, build=verify.density_rule: built.append(a) or build(a))
+        verify.kernel_checks()
+        assert sorted(built) == [0.3, 0.5, 0.7, 0.9]

@@ -46,9 +46,12 @@ class TestNonlinearityFn:
         f = NonlinearityFn("bounded_tanh", 0.1)
         avg = np.array([0.3, -2.0])
         assert np.allclose(f(avg), 0.1 * np.tanh(avg))
-        assert f.bound(4) == pytest.approx(0.2)
-        assert NonlinearityFn("zero").bound(10) == 0.0
-        assert NonlinearityFn("linear_feedback", -0.5).bound(10) == math.inf
+        # (H6): |F| <= |kappa| sqrt(N) for tanh, 0 for zero, none for feedback
+        big = np.full(4, 1e6)
+        assert np.linalg.norm(f(big)) <= 0.1 * math.sqrt(4)
+        assert np.linalg.norm(f(big)) == pytest.approx(0.2)
+        assert np.all(NonlinearityFn("zero")(big) == 0.0)
+        assert np.linalg.norm(NonlinearityFn("linear_feedback", -0.5)(big)) == 1e6
         with pytest.raises(ModelValidationError):
             NonlinearityFn("cubic")
 
@@ -106,8 +109,9 @@ class TestModelValidation:
         states = np.linspace(-5.0, 5.0, 18).reshape(9, 2)
         rows = np.linalg.norm(
             _nonlinearity_rows(m, build_grid_operators(m, 8), states), axis=1)
-        assert np.all(rows <= tanh.bound(m.truncation))
-        assert rows.max() > 0.5 * tanh.bound(m.truncation)
+        bound = 0.1 * math.sqrt(m.truncation)  # |kappa| sqrt(N), as (H6) asks
+        assert np.all(rows <= bound)
+        assert rows.max() > 0.5 * bound
         free = _model(nonlinearity=tanh)
         assert np.all(_nonlinearity_rows(
             free, build_grid_operators(free, 8), states) == 0.0)
