@@ -1,9 +1,10 @@
 """Regularized steering: Grammian, resolvent, control law, beta sweeps.
 
-The control influence operator (Grammian) is diagonal for the built-in
-model and is integrated with the same singular-kernel weights as the
-solver, so the linear closed loop reproduces the per-mode residual
-formula beta/(beta + gamma_n) * p_n to quadrature consistency.
+The steering law B_q T_alpha(a - t) r is defined once.  The Grammian is
+the solver's own terminal response to it with r = 1: every operator is
+diagonal per mode, so that response is the diagonal, and the linear
+closed loop reproduces the per-mode residual beta/(beta + gamma_n) p_n
+for any channel layout and steering delay.
 """
 
 import math
@@ -14,7 +15,8 @@ import numpy as np
 from .errors import DomainError, ModelValidationError, PicardDivergenceError
 from .solver import (SolverConfig, Trajectory, _nonlinearity_rows,
                      build_grid_operators, memory_integral,
-                     nonlocal_offset_factor, nonlocal_offsets, picard_solve)
+                     nonlocal_offset_factor, nonlocal_offsets, picard_solve,
+                     realize_controls)
 from .spectral import ModelSpec, _state_vector
 
 
@@ -59,15 +61,14 @@ class SweepReport:
 
 
 def compute_grammian(m: ModelSpec, n_steps: int) -> np.ndarray:
-    """Diagonal of the control-influence operator, per mode
-    gamma_n = (sum_j b_jn^2) int_0^a (a-s)^{a-1} E_aa(...)^2 ds."""
+    """Diagonal of the control-influence operator: the solver's terminal
+    response to the steering law with r = 1, through the same delays,
+    stencils and memory quadrature as every controlled solve."""
     if m.control_delay_count < 1:
         raise ModelValidationError("the model has no control channel")
     ops = build_grid_operators(m, n_steps)
-    # the solver's quadrature weights of the terminal node, by lag
-    by_lag = ops.kernel.row(n_steps)[::-1]
-    base = np.einsum("j,jm,jm->m", by_lag, ops.efac_mem, ops.t_factors)
-    gram = np.sum([b * b * base for b in m.control_multipliers], axis=0)
+    law = _steering_law(m, ops.dt, n_steps, np.ones(m.truncation))
+    gram = memory_integral(ops, realize_controls(m, ops, law))[n_steps]
     dead = np.flatnonzero(gram <= 0.0) + 1
     if dead.size:
         shown = ", ".join(map(str, dead[:5])) + (", ..." if dead.size > 5 else "")
@@ -93,8 +94,8 @@ def residual_p(cp: ControlProblem, traj: Trajectory) -> np.ndarray:
             f"trajectory horizon {traj.horizon} != model horizon {m.horizon}")
     n = traj.n_steps
     ops = build_grid_operators(m, n)
-    # the factor at the horizon itself, not ops.offset_factors[n]: the
-    # last grid time (horizon / n) * n need not round back to horizon
+    # the factor at the horizon itself, not the grid's factor at node n:
+    # the last grid time (horizon / n) * n need not round back to horizon
     offset = nonlocal_offsets(m, traj.states, traj.dt,
                               nonlocal_offset_factor(m.alpha, m.horizon))
     free = ops.s_factors[n] * offset
@@ -103,44 +104,32 @@ def residual_p(cp: ControlProblem, traj: Trajectory) -> np.ndarray:
     return cp.target - free - mem[n]
 
 
-def _steering_times(m: ModelSpec, times: np.ndarray) -> np.ndarray:
-    """Pre-compensation of the steering channel's delayed sampling.
+def _steering_law(m: ModelSpec, dt: float, n: int, r: np.ndarray):
+    """Per-channel grid samples of the steering law B_q T_alpha(a - t) r.
 
-    The grid samples of the steering control are chosen so that, after
-    the solver re-samples them at sigma_q(t), the forcing seen by the
-    system is the undelayed law B_q T_alpha(a - t) r.  For an invertible
-    delay this means sampling at sigma_q^{-1}(t_k); the identity delay
-    reduces to the plain law, and non-invertible delays fall back to it.
+    Only the last channel carries it, pre-compensated so that after the
+    solver re-samples it at sigma_q(t) the system sees the undelayed law:
+    an invertible sigma_q is sampled at sigma_q^{-1}(t_k), any other delay
+    at t_k itself.  The other channels are zero.
     """
     sigma = m.control_delays[-1]
-    if sigma.kind == "identity" or m.horizon > sigma.invertible_on:
-        return times
-    if sigma.kind == "scaled_sine":
+    tq = dt * np.arange(n + 1)
+    if sigma.kind == "scaled_sine" and m.horizon <= sigma.invertible_on:
         top = sigma(m.horizon)
-        return np.array([sigma.invert(min(t, top)) for t in times])
-    return times
+        tq = np.array([sigma.invert(min(t, top)) for t in tq])
+    mu = m.control_multipliers[-1] * m.t_alpha_factors(m.horizon - tq) * r
+    return [np.zeros((n + 1, m.truncation))
+            for _ in range(m.control_delay_count - 1)] + [mu]
 
 
 def synthesize_control(cp: ControlProblem, traj: Trajectory):
-    """Per-channel control samples of the regularized steering law.
-
-    Only the last control channel carries the control
-    mu(t) = B_q T_alpha(a - t) (beta I + Gamma)^{-1} p(traj); the other
-    channels are zero.
-    """
+    """Per-channel control samples of the regularized steering law with
+    r = (beta I + Gamma)^{-1} p(traj)."""
     m = cp.model
     n = traj.n_steps
     gram = compute_grammian(m, n)  # also rejects a model with no control channel
-    p = residual_p(cp, traj)
-    r = resolvent_apply(gram, cp.beta, p)
-    times = traj.dt * np.arange(n + 1)
-    tq = _steering_times(m, times)
-    bq = m.control_multipliers[-1]
-    mu = bq * m.t_alpha_factors(m.horizon - tq) * r
-    channels = [np.zeros((n + 1, m.truncation))
-                for _ in range(m.control_delay_count - 1)]
-    channels.append(mu)
-    return channels
+    r = resolvent_apply(gram, cp.beta, residual_p(cp, traj))
+    return _steering_law(m, traj.dt, n, r)
 
 
 def closed_loop_solve(cp: ControlProblem, cfg: SolverConfig):
@@ -174,8 +163,12 @@ def closed_loop_solve(cp: ControlProblem, cfg: SolverConfig):
 
 def control_energy(dt: float, mu: np.ndarray) -> float:
     """Time-L2 norm of grid-sampled control values (trapezoid rule)."""
-    sq = np.sum(np.asarray(mu, dtype=float) ** 2, axis=1)
-    return math.sqrt(dt * (np.sum(sq) - 0.5 * sq[0] - 0.5 * sq[-1]))
+    mu = np.asarray(mu, dtype=float)
+    # squares taken at the scale of the largest |mu| cannot overflow; a
+    # power of two scales exactly, so no other energy changes
+    _, e = math.frexp(float(np.max(np.abs(mu))))
+    sq = np.sum(np.ldexp(mu, -e) ** 2, axis=1)
+    return math.ldexp(math.sqrt(dt * (np.sum(sq) - 0.5 * sq[0] - 0.5 * sq[-1])), e)
 
 
 def beta_sweep(cp: ControlProblem, betas, cfg: SolverConfig) -> SweepReport:

@@ -125,11 +125,10 @@ class _GridOperators:
 
     dt: float
     s_factors: np.ndarray       # (n+1, N): E_{a,1} factors at each grid lag
-    t_factors: np.ndarray       # (n+1, N): E_{a,a} factors at each grid lag
     kernel: ConvolutionKernel   # product-trapezoidal weights of the grid
     w0: np.ndarray              # (N,): exact lag-0 node weight of [0, dt]
     w1: np.ndarray              # (N,): exact lag-dt node weight of [0, dt]
-    efac_mem: np.ndarray        # t_factors with rows 0/1 folded to w0/w1
+    efac_mem: np.ndarray        # E_{a,a} factors per lag, rows 0/1 folded to w0/w1
     offset_factors: np.ndarray  # (n+1,): nonlocal kernel factor per node
     delay_stencils: tuple       # per state channel: (lo, w)
     control_stencils: tuple     # per control channel: (lo, w)
@@ -169,7 +168,7 @@ def build_grid_operators(m: ModelSpec, n_steps: int) -> _GridOperators:
     cstencils = tuple(
         _interp_stencil(dt, n_steps, [max(d(t), 0.0) for t in times])
         for d in m.control_delays)
-    return _GridOperators(dt, s_fac, t_fac, kern, w0, w1, efac_mem, off,
+    return _GridOperators(dt, s_fac, kern, w0, w1, efac_mem, off,
                           dstencils, cstencils)
 
 

@@ -406,10 +406,20 @@ class TestRunErrors:
 
 
 class TestOverflowEndsInOneLine:
-    # each config overflows or underflows a double on the way; the run ends
-    # in its one error line, and numpy warns of nothing before it
+    # each config overflows or underflows a double on the way, or leaves the
+    # steering law no mode to reach; the run ends in its one error line, and
+    # numpy warns of nothing before it
     SHIPPED = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
     NODE = math.pi * float(gauss_legendre(config._GAUSS_NODES)[0][0])
+
+    def _run(self, tmp_path, old, new, command):
+        assert old in self.SHIPPED
+        cfg = _cfg_file(tmp_path, self.SHIPPED.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=SRC)
+        return subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracsteer.cli",
+             "--config", cfg, "--out", str(tmp_path), "--steps", "16", command],
+            env=env, capture_output=True, text=True, timeout=120)
 
     @pytest.mark.parametrize("old, new, command, status, message", [
         # 2 w^2 underflows, and the bump is 0/0 on its centre node
@@ -434,24 +444,38 @@ class TestOverflowEndsInOneLine:
         ("control_multipliers = zero, identity",
          "control_multipliers = zero, constant(1e-300)", "synthesize", 1,
          "synthesize: gamma_n <= 0 on 32 of 32 modes"),
+        # the live channel is not the one the law drives: gamma_n = 0 exactly
+        ("control_multipliers = zero, identity",
+         "control_multipliers = identity, zero", "sweep", 1,
+         "sweep: gamma_n <= 0 on 32 of 32 modes"),
+        ("control_multipliers = zero, identity",
+         "control_multipliers = identity, zero", "synthesize", 1,
+         "synthesize: gamma_n <= 0 on 32 of 32 modes"),
     ], ids=["underflowing-bump", "overflowing-start", "huge-tanh",
             "overflowing-target-norm", "underflowing-grammian-sweep",
-            "underflowing-grammian-synthesize"])
+            "underflowing-grammian-synthesize", "unsteered-channel-sweep",
+            "unsteered-channel-synthesize"])
     def test_one_line_without_warnings(self, tmp_path, old, new, command, status,
                                        message):
-        assert old in self.SHIPPED
-        cfg = _cfg_file(tmp_path, self.SHIPPED.replace(old, new))
-        env = dict(os.environ, PYTHONPATH=SRC)
-        done = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracsteer.cli",
-             "--config", cfg, "--out", str(tmp_path), "--steps", "16", command],
-            env=env, capture_output=True, text=True, timeout=120)
+        done = self._run(tmp_path, old, new, command)
         assert done.returncode == status, done.stderr
         assert "Warning" not in done.stderr and "Traceback" not in done.stderr
         lines = done.stderr.splitlines()
         assert message in lines[-1]
         if status == 1:
             assert len(lines) == 1
+
+    def test_huge_target_energies_stay_finite(self, tmp_path):
+        # the control is about 1e154 / (beta + gamma_n): its squares overflow
+        # a double, its energy does not
+        done = self._run(tmp_path, "target = gaussian_bump(1.5707963267948966, 0.4)",
+                         "target = single_mode(1, 1e154)", "sweep")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        _, header, rows = _read_csv(os.path.join(tmp_path, "sweep.csv"))
+        energies = [float(r[header.index("control_energy")]) for r in rows]
+        assert len(energies) == 4
+        assert all(math.isfinite(e) and e > 1e153 for e in energies)
 
 
 class TestImports:
