@@ -22,7 +22,7 @@ import numpy as np
 from .control import ControlProblem
 from .errors import ConfigError, ModelValidationError
 from .solver import SolverConfig, time_grid
-from .special import ML_MIN_ALPHA, ML_NEG_Z_LIMIT, gauss_legendre
+from .special import ML_MIN_ALPHA, gauss_legendre
 from .spectral import DelayFn, ModelSpec, NonlinearityFn
 
 _GAUSS_NODES = 400
@@ -299,19 +299,20 @@ _KEYS = {
 
 
 def _check_reach(model: dict, t: float, lines: dict):
-    """Reject a model whose stiffest eigenfactor argument -lambda_max t^alpha
-    leaves the validated Mittag-Leffler range (a bad alpha or t is ModelSpec's)."""
+    """Reject a model whose stiffest eigenfactor argument lambda_max t^alpha
+    is not finite (a bad alpha or t is ModelSpec's)."""
     alpha, lam = model["alpha"], model["eigenvalues"]
     if not (0.0 < alpha <= 1.0 and t > 0.0):
         return
-    lam_max = float(model["truncation"]) ** 2 if lam is None else max(lam, default=0.0)
-    z_min = -lam_max * t ** alpha
-    if z_min < -ML_NEG_Z_LIMIT:
+    try:  # a truncation past ~1.3e154 overflows its square
+        lam_max = float(model["truncation"]) ** 2 if lam is None else max(lam, default=0.0)
+    except OverflowError:
+        lam_max = math.inf
+    if not math.isfinite(lam_max * t ** alpha):
         key = "truncation" if lam is None else "eigenvalues"
-        raise ConfigError(
-            f"[model] {key}: the stiffest mode reaches z = {z_min!r}, beyond "
-            f"the supported Mittag-Leffler range z >= {-ML_NEG_Z_LIMIT:g}",
-            line=lines.get(("model", key)))
+        raise ConfigError(f"[model] {key}: the stiffest mode's Mittag-Leffler "
+                          f"argument -lambda t^alpha overflows at t = {t!r}",
+                          line=lines.get(("model", key)))
 
 
 def _raw_sections(text: str):
@@ -382,7 +383,7 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     with _reported("[solver]"):
         solver_cfg = SolverConfig(**values["solver"])
     # again at the last grid node, which can round past the horizon
-    t_max = max(spec.horizon, time_grid(spec.horizon, solver_cfg.n_steps)[1][-1])
+    t_max = max(spec.horizon, float(time_grid(spec.horizon, solver_cfg.n_steps)[1][-1]))
     _check_reach(values["model"], t_max, lines)
     control = values["control"]
     with _reported("[control]"):  # the target's length, finiteness and norm

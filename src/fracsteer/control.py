@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ModelValidationError, PicardDivergenceError
-from .solver import (SolverConfig, Trajectory, _nonlinearity_rows,
-                     build_grid_operators, memory_integral,
+from .solver import (SolverConfig, Trajectory, _delay_stencil,
+                     _nonlinearity_rows, build_grid_operators, memory_integral,
                      nonlocal_offset_factor, nonlocal_offsets, picard_solve,
                      realize_controls)
 from .spectral import ModelSpec, _state_vector
@@ -110,14 +110,17 @@ def _steering_law(m: ModelSpec, dt: float, n: int, r: np.ndarray):
     Only the last channel carries it, pre-compensated so that after the
     solver re-samples it at sigma_q(t) the system sees the undelayed law:
     an invertible sigma_q is sampled at sigma_q^{-1}(t_k), any other delay
-    at t_k itself.  The other channels are zero.
+    at t_k itself.  Samples its stencil never reads are zero, so they and
+    their energy are the control applied; the other channels are zero.
     """
     sigma = m.control_delays[-1]
     tq = dt * np.arange(n + 1)
+    lo, w = _delay_stencil(sigma, dt, tq)
     if sigma.kind == "scaled_sine" and m.horizon <= sigma.invertible_on:
         top = sigma(m.horizon)
         tq = np.array([sigma.invert(min(t, top)) for t in tq])
     mu = m.control_multipliers[-1] * m.t_alpha_factors(m.horizon - tq) * r
+    mu[np.bincount(lo, 1.0 - w, n + 1) + np.bincount(lo + 1, w, n + 1) == 0.0] = 0.0
     return [np.zeros((n + 1, m.truncation))
             for _ in range(m.control_delay_count - 1)] + [mu]
 

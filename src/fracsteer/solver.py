@@ -90,6 +90,11 @@ def _interp_stencil(dt: float, n: int, times) -> tuple:
     return lo, w
 
 
+def _delay_stencil(d, dt: float, times) -> tuple:
+    """Stencil of the delayed times max(d(t), 0) at every node."""
+    return _interp_stencil(dt, len(times) - 1, [max(d(t), 0.0) for t in times])
+
+
 def _interp_rows(states: np.ndarray, lo: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (1.0 - w)[:, None] * states[lo] + w[:, None] * states[lo + 1]
 
@@ -162,12 +167,8 @@ def build_grid_operators(m: ModelSpec, n_steps: int) -> _GridOperators:
     lag1_tail = kern.lag[1] - dt ** a / (a + 1.0)
     efac_mem[1] = (w1 + lag1_tail * t_fac[1]) / kern.lag[1]
     off = np.array([nonlocal_offset_factor(m.alpha, t) for t in times])
-    dstencils = tuple(
-        _interp_stencil(dt, n_steps, [max(d(t), 0.0) for t in times])
-        for d in m.state_delays)
-    cstencils = tuple(
-        _interp_stencil(dt, n_steps, [max(d(t), 0.0) for t in times])
-        for d in m.control_delays)
+    dstencils = tuple(_delay_stencil(d, dt, times) for d in m.state_delays)
+    cstencils = tuple(_delay_stencil(d, dt, times) for d in m.control_delays)
     return _GridOperators(dt, s_fac, kern, w0, w1, efac_mem, off,
                           dstencils, cstencils)
 

@@ -6,13 +6,12 @@ Two independent routes are maintained on purpose:
   single-integral stable-law representation on a fixed Gauss-Legendre
   rule where the alternating series cancels), whose theta-integrals
   against exp(z*theta) define the fractional operator families, and
-* ``ml``, the production route for the same operator eigenvalue
-  factors, evaluated by the large-|z| expansion where its truncation
-  error is certified below double rounding, by power series where that
-  is safe in double precision, and otherwise by a trapezoid rule on a
-  parabolic Hankel contour (orders up to 0.999) or, for
-  0.999 < alpha < 1, by a Gauss-Legendre panel rule on the real integral
-  representation along the negative axis; all of it in numpy.
+* ``ml``, the production route for the same factors on all of z <= 0,
+  by the large-|z| expansion where its truncation error is certified
+  below double rounding, by power series where that is safe in double
+  precision, and otherwise by a trapezoid rule on a parabolic Hankel
+  contour (orders up to 0.999) or, for 0.999 < alpha < 1, by a panel
+  rule on the real integral along the negative axis; all in numpy.
 
 The density is an oracle only: ``fracsteer.verify`` ties the two routes
 together through  int zeta_a(th) e^{-x th} dth = E_{a,1}(-x)  and
@@ -41,9 +40,6 @@ _SERIES_TAIL_RTOL = 1e-16
 # the factor, so these keep ~1e-9 (density) and ~1e-10 (Mittag-Leffler)
 _CANCELLATION_LIMIT = 1e6
 _ML_CANCELLATION_LIMIT = 1e4
-# most negative argument the Mittag-Leffler routes are validated for;
-# config parsing rejects models whose eigenfactors would reach past it
-ML_NEG_Z_LIMIT = 1e4
 # terms K of the large-|z| expansion, and the largest order it and the
 # contour rule serve: closer to alpha = 1 the rounding of beta - alpha k,
 # next to a pole of Gamma, shows in the coefficients, and the contour's
@@ -225,18 +221,20 @@ def _ml_integral_neg(alpha: float, beta: float, z: float) -> float:
     Real integral representation (Hankel contour collapsed onto the
     negative axis; for beta >= 1 + alpha the collapsing circle leaves a
     residue and the formula no longer holds, so callers reduce that case
-    first).  With x = -z, c = cos pi(1-a) and s = sin pi(1-a),
-      E = (1/pi) int_0^inf e^-w w^(a-b) (w^a sin pi b + x sin pi(b-a))
-          / ((w^a - x c)^2 + (x s)^2) dw,
-    the denominator written so as not to cancel in its dip near
-    w_d = x^(1/a), of width about w_d pi (1-a).  w = u^p, p = 1/(a-b+1),
+    first).  With x = -z, v = w^a / x, c = cos pi(1-a) and s = sin pi(1-a),
+      E = (1/(pi x)) int_0^inf e^-w w^(a-b) (v sin pi b + sin pi(b-a))
+          / ((v - c)^2 + s^2) dw,
+    the denominator scaled by x^2 to stay finite for every double x, and
+    not to cancel in its dip near w_d = x^(1/a), of width about
+    w_d pi (1-a).  w = u^p, p = 1/(a-b+1),
     absorbs the w^(a-b) factor; 64 Gauss-Legendre nodes in u run on each
     panel between breakpoints in w: geometric, in steps of at most 16 in
     w and u, from w^a ~ 16^-14 to the underflow of e^-w, and graded by
     powers of 2 on the dip's width to both sides of w_d.  The nodes are
     placed in w through log1p and expm1, so they stay accurate when u
-    crowds toward 1 at large p.  Against a 40-digit oracle the relative error
-    is below 1e-12 for 0.999 < a < 1, b = a, 1, 2 - a and 2 <= x <= 1e4.
+    crowds toward 1 at large p.  Against 40-digit oracles the relative error
+    is below 1e-12 for 0.999 < a < 1, b = a, 1, 2 - a and 2 <= x <= 1e4,
+    and below 1e-15 past it wherever E is a normal double.
     """
     x, p = -z, 1.0 / (alpha - beta + 1.0)
     c, s = math.cos(math.pi * (1.0 - alpha)), math.sin(math.pi * (1.0 - alpha))
@@ -251,10 +249,10 @@ def _ml_integral_neg(alpha: float, beta: float, z: float) -> float:
     with np.errstate(divide="ignore"):
         shrink = -np.expm1(np.log(lo / hi) / p)  # 1 - u_lo / u_hi
     w = hi * np.exp(p * np.log1p(-shrink * nodes))
-    wa = w ** alpha
-    f = (np.exp(-w) * (wa * _sin_pi(beta) + x * _sin_pi(beta - alpha))
-         / ((wa - x * c) ** 2 + (x * s) ** 2))
-    return p * float(np.sum(hi ** (1.0 / p) * shrink * weights * f)) / math.pi
+    v = w ** alpha / x
+    f = (np.exp(-w) * (v * _sin_pi(beta) + _sin_pi(beta - alpha))
+         / ((v - c) ** 2 + s * s))
+    return p * float(np.sum(hi ** (1.0 / p) * shrink * weights * f)) / math.pi / x
 
 
 def _ml_contour(alpha: float, beta: float, z: float) -> float:
@@ -305,11 +303,8 @@ def _asymptotic_plan(alpha: float, beta: float):
         tail = bound * t ** (terms + 1)
         return (1.0 + eps) * tail + eps * rest <= eps * abs(coeffs[first]) * t ** (first + 1)
 
-    hi = 1.0
-    while not certified(hi):
-        hi *= 2.0
-        if hi > ML_NEG_Z_LIMIT:
-            return (), math.inf
+    # certified holds at the latest where every power of 1/x underflows
+    hi = next(2.0 ** j for j in range(1024) if certified(2.0 ** j))
     lo = hi / 2.0
     for _ in range(64):
         mid = 0.5 * (lo + hi)
@@ -330,7 +325,7 @@ def _asymptotic_sum(coeffs, z):
 def ml(alpha: float, beta: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
-    Supported for 0 < alpha <= 1, beta > 0 and -ML_NEG_Z_LIMIT <= z <= 0.
+    Supported for 0 < alpha <= 1, beta > 0 and every finite z <= 0.
     Routes, in order: 1/Gamma(beta) at z = 0; exp at alpha = beta = 1;
     the large-|z| expansion from its reach; the power series for
     |z| <= 10 where it does not cancel; the reduction of beta >= 1 + alpha
@@ -343,9 +338,8 @@ def ml(alpha: float, beta: float, z: float) -> float:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if z > 0.0 or z < -ML_NEG_Z_LIMIT:
-        raise DomainError(
-            f"z={z} outside the supported range [{-ML_NEG_Z_LIMIT:g}, 0]")
+    if not -math.inf < z <= 0.0:
+        raise DomainError(f"z={z} outside the supported range (-inf, 0]")
     if z == 0.0:
         return rgamma(beta)
     # where no route takes beta >= 1 + alpha, reduce the second parameter
@@ -411,7 +405,7 @@ def _ml_values(alpha: float, beta: float, zbytes: bytes) -> np.ndarray:
     flat = np.frombuffer(zbytes, dtype=float)
     out = np.empty(flat.size)
     coeffs, reach = _asymptotic_plan(alpha, beta)
-    far = (-flat >= reach) & (flat >= -ML_NEG_Z_LIMIT)
+    far = -flat >= reach
     if far.any():
         out[far] = _asymptotic_sum(coeffs, flat[far])
     for i in np.flatnonzero(~far):

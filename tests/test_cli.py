@@ -408,7 +408,8 @@ class TestRunErrors:
 class TestOverflowEndsInOneLine:
     # each config overflows or underflows a double on the way, or leaves the
     # steering law no mode to reach; the run ends in its one error line, and
-    # numpy warns of nothing before it
+    # numpy warns of nothing before it.  A stiff model whose eigenfactor
+    # arguments stay finite runs, with nothing on stderr
     SHIPPED = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
     NODE = math.pi * float(gauss_legendre(config._GAUSS_NODES)[0][0])
 
@@ -451,14 +452,30 @@ class TestOverflowEndsInOneLine:
         ("control_multipliers = zero, identity",
          "control_multipliers = identity, zero", "synthesize", 1,
          "synthesize: gamma_n <= 0 on 32 of 32 modes"),
+        # the stiffest argument reaches -4e6
+        ("truncation = 32", "truncation = 2000", "simulate", 0, None),
+        # and -1e300 * 2^0.5, then -1e308 * 2^0.5, both finite
+        ("horizon = 1.0\ntruncation = 32\neigenvalues = default",
+         "horizon = 2.0\ntruncation = 2\neigenvalues = 1, 1e300", "simulate", 0, None),
+        ("horizon = 1.0\ntruncation = 32\neigenvalues = default",
+         "horizon = 2.0\ntruncation = 2\neigenvalues = 1, 1e308", "simulate", 0, None),
+        # -1e308 * 2 overflows
+        ("alpha = 0.5\nhorizon = 1.0\ntruncation = 32\neigenvalues = default",
+         "alpha = 1.0\nhorizon = 2.0\ntruncation = 2\neigenvalues = 1, 1e308",
+         "simulate", 2, "line 9: [model] eigenvalues: the stiffest mode's "
+         "Mittag-Leffler argument -lambda t^alpha overflows at t = 2.0"),
     ], ids=["underflowing-bump", "overflowing-start", "huge-tanh",
             "overflowing-target-norm", "underflowing-grammian-sweep",
             "underflowing-grammian-synthesize", "unsteered-channel-sweep",
-            "unsteered-channel-synthesize"])
+            "unsteered-channel-synthesize", "truncation-2000",
+            "eigenvalue-1e300", "eigenvalue-1e308", "overflowing-eigenvalue"])
     def test_one_line_without_warnings(self, tmp_path, old, new, command, status,
                                        message):
         done = self._run(tmp_path, old, new, command)
         assert done.returncode == status, done.stderr
+        if status == 0:
+            assert done.stderr == ""
+            return
         assert "Warning" not in done.stderr and "Traceback" not in done.stderr
         lines = done.stderr.splitlines()
         assert message in lines[-1]

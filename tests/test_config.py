@@ -243,61 +243,75 @@ class TestControlValues:
 
 
 class TestMittagLefflerRange:
-    def test_truncation_at_the_bound_runs(self):
-        # lambda_max * horizon^alpha = 100^2 = 1e4 exactly
-        cfg = parse_config("[model]\nalpha = 0.9\ntruncation = 100\n"
+    # the eigenfactors take any finite argument -lambda t^alpha; the one
+    # bound left is the double range: parsing rejects a stiffest argument
+    # that overflows
+    @pytest.mark.parametrize("truncation", [101, 512])
+    def test_any_truncation_runs(self, truncation):
+        cfg = parse_config(f"[model]\nalpha = 0.9\ntruncation = {truncation}\n"
                            "u0 = single_mode(1, 1.0)\n[solver]\nn_steps = 8\n")
         traj = picard_solve(cfg.model, cfg.solver)
         assert np.all(np.isfinite(traj.states))
 
     def test_truncation_past_the_bound_rejected(self):
-        with pytest.raises(ConfigError) as e:
-            parse_config("[model]\nalpha = 0.9\ntruncation = 101\n")
-        assert "truncation" in str(e.value)
-        assert e.value.line == 3
+        # 2e154 squared overflows; 1e400 does not even convert to a double
+        for n in (2 * 10 ** 154, 10 ** 400):
+            with pytest.raises(ConfigError) as e:
+                parse_config(f"[model]\nalpha = 0.9\ntruncation = {n}\n")
+            assert "[model] truncation: " in str(e.value)
+            assert "overflows" in str(e.value)
+            assert e.value.line == 3
 
     def test_horizon_counts_toward_the_bound(self):
-        text = "[model]\nalpha = 0.5\nhorizon = {h}\ntruncation = 50\n"
-        parse_config(text.format(h=16.0))  # 2500 * 16^0.5 = 1e4
+        # 1e308 * 2^0.5 is finite, 1e308 * 4^0.5 is not
+        text = ("[model]\nalpha = 0.5\nhorizon = {h}\ntruncation = 2\n"
+                "eigenvalues = 1, 1e308\n")
+        parse_config(text.format(h=2.0))
         with pytest.raises(ConfigError) as e:
-            parse_config(text.format(h=16.5))
-        assert "truncation" in str(e.value)
+            parse_config(text.format(h=4.0))
+        assert "[model] eigenvalues: " in str(e.value)
+        assert "overflows at t = 4.0" in str(e.value)
 
     def test_rejected_before_any_shape_is_built(self, monkeypatch):
         # an N x 400 basis per Gaussian bump: at N = 20000 the shipped
-        # bumps took the parse to 157 MB before the check rejected it
+        # bumps took the parse to 157 MB; a truncation whose square
+        # overflows is rejected before the first one
         built = []
         monkeypatch.setattr(config, "gauss_legendre",
                             lambda nodes: built.append(nodes))
         with pytest.raises(ConfigError) as e:
             parse_config(_default_text().replace("truncation = 32",
-                                                 "truncation = 20000"))
-        assert ("[model] truncation: the stiffest mode reaches z = -400000000.0"
-                in str(e.value))
+                                                 f"truncation = {10 ** 160}"))
+        assert ("[model] truncation: the stiffest mode's Mittag-Leffler argument "
+                "-lambda t^alpha overflows at t = 1.0" in str(e.value))
         assert e.value.line == 8
         assert built == []
 
     def test_given_eigenvalues_named(self):
         with pytest.raises(ConfigError) as e:
-            parse_config("[model]\nalpha = 0.5\ntruncation = 2\n"
-                         "eigenvalues = 1, 10000.5\n")
-        assert "eigenvalues" in str(e.value)
-        assert e.value.line == 4
-        parse_config("[model]\nalpha = 0.5\ntruncation = 2\n"
-                     "eigenvalues = 1, 10000\n")
+            parse_config("[model]\nalpha = 1.0\nhorizon = 2.0\ntruncation = 2\n"
+                         "eigenvalues = 1, 1e308\n")
+        assert "[model] eigenvalues: " in str(e.value)
+        assert e.value.line == 5
+        # past the former 1e4 limit, and through the 0.999 < alpha < 1 band
+        cfg = parse_config("[model]\nalpha = 0.9995\nhorizon = 2.0\ntruncation = 2\n"
+                           "eigenvalues = 1, 1e300\nu0 = single_mode(1, 1.0)\n"
+                           "[solver]\nn_steps = 8\n")
+        traj = picard_solve(cfg.model, cfg.solver)
+        assert np.all(np.isfinite(traj.states))
 
     def test_last_grid_node_counts_toward_the_bound(self):
-        # (0.1 / 11) * 11 rounds up to 0.10000000000000002, so the last
-        # grid node would reach z = -10000.000000000002
-        text = ("[model]\nalpha = 1.0\nhorizon = 0.1\ntruncation = 1\n"
-                "eigenvalues = 100000\nu0 = single_mode(1, 1.0)\n"
+        # (1.3 / 77) * 77 rounds up to 1.3000000000000003, where this
+        # eigenvalue's argument overflows; at 1.3 itself it does not
+        text = ("[model]\nalpha = 1.0\nhorizon = 1.3\ntruncation = 1\n"
+                "eigenvalues = 1.382840872971012e308\nu0 = single_mode(1, 1.0)\n"
                 "[solver]\nn_steps = {n}\n")
         with pytest.raises(ConfigError) as e:
-            parse_config(text.format(n=11))
+            parse_config(text.format(n=77))
         assert "eigenvalues" in str(e.value)
-        assert "-10000.000000000002" in str(e.value)
+        assert "t = 1.3000000000000003" in str(e.value)
         assert e.value.line == 5
-        cfg = parse_config(text.format(n=10))  # (0.1 / 10) * 10 == 0.1
+        cfg = parse_config(text.format(n=10))  # (1.3 / 10) * 10 == 1.3
         traj = picard_solve(cfg.model, cfg.solver)
         assert np.all(np.isfinite(traj.states))
 

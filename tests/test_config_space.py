@@ -25,9 +25,11 @@ from fracsteer.errors import ConfigError
 from fracsteer.solver import picard_solve
 
 ALPHAS = (0.1, 0.3, 0.5, 0.9, 0.999, 0.9999, 1.0)
-TRUNCATIONS = (1, 32, 100)
+# the stiffest eigenfactor argument lambda_N t^alpha passes 1e4 through
+# the truncation (512^2) and through the horizon (100^2 * 4^alpha)
+TRUNCATIONS = (1, 32, 100, 512)
 STEPS = (8, 16, 128)
-HORIZONS = (0.5, 1.0)
+HORIZONS = (0.5, 1.0, 4.0)
 DELAYS = ("identity", "scaled_sine(1)", "constant_lag(0.1)")
 NONLOCAL = ("none", "0.1:0.2, 0.05:0.4")
 

@@ -7,14 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracsteer import control
+from fracsteer import config, control
 from fracsteer.control import (ControlProblem, beta_sweep, closed_loop_solve,
                                compute_grammian, control_energy,
                                residual_p, resolvent_apply, synthesize_control)
 from fracsteer.errors import (DomainError, ModelValidationError,
                               PicardDivergenceError)
 from fracsteer.gammafn import gamma
-from fracsteer.solver import SolverConfig, Trajectory, picard_solve
+from fracsteer.solver import (SolverConfig, Trajectory, build_grid_operators,
+                              picard_solve)
 from fracsteer.special import ml
 from fracsteer.spectral import DelayFn, ModelSpec
 
@@ -163,6 +164,29 @@ class TestSynthesis:
         p = residual_p(cp, traj)
         expect = 2.0 * (1.0 / gamma(0.5)) * p[0] / (0.2 + g[0])
         assert mu[-1, 0] == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("delay, unread, energy", [
+        ("scaled_sine(2)", 33, 1.3191712332987),
+        ("constant_lag(0.1)", 6, 1.7984273751832),
+    ], ids=["scaled_sine", "constant_lag"])
+    def test_samples_no_stencil_reads_are_zero(self, delay, unread, energy):
+        # sin(1/2) < 1 and 1 - 0.1 < 1: the samples past sigma(1) never
+        # reach the system, so they carry neither control nor energy (the
+        # energy at beta = 1e-4 was 7.12 and 24.2 with them)
+        cfg = config.parse_config(
+            "[model]\nalpha = 0.5\ntruncation = 32\nu0 = gaussian_bump(1.0, 0.35)\n"
+            "state_delays = scaled_sine(1)\nstate_multipliers = laplacian\n"
+            f"control_delays = {delay}\ncontrol_multipliers = identity\n"
+            "nonlinearity = bounded_tanh(0.1)\n[solver]\nn_steps = 64\n[control]\n"
+            "target = gaussian_bump(1.5707963267948966, 0.4)\nbetas = 1e-4\n")
+        traj, _ = closed_loop_solve(cfg.problem, cfg.solver)
+        mu = synthesize_control(cfg.problem, traj)[0]
+        lo, w = build_grid_operators(cfg.model, 64).control_stencils[0]
+        read = np.zeros(65, dtype=bool)
+        read[lo[w != 1.0]] = read[lo[w != 0.0] + 1] = True
+        assert np.count_nonzero(~read) == unread
+        assert np.all(mu[~read] == 0.0) and np.all(mu[read].any(axis=1))
+        assert control_energy(traj.dt, mu) == pytest.approx(energy, rel=1e-9)
 
 
 class TestClosedLoop:

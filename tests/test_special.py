@@ -14,15 +14,16 @@ import pytest
 from fracsteer import special, verify
 from fracsteer.errors import DomainError
 from fracsteer.gammafn import gamma, rgamma
-from fracsteer.special import (ML_NEG_Z_LIMIT, _wright_integral,
-                               _wright_series_double, gauss_legendre, ml,
-                               ml_array, underflow_cutoff, wright_pdf)
+from fracsteer.special import (_wright_integral, _wright_series_double,
+                               gauss_legendre, ml, ml_array, underflow_cutoff,
+                               wright_pdf)
 from fracsteer.verify import (density_rule, route_quadrature, theta_rule,
                               wright_moment)
 
 
 _SERIES_MP_MAX_TERMS = 10_000
 SRC = os.path.dirname(os.path.dirname(special.__file__))
+_NORMAL_MIN = sys.float_info.min
 
 
 def _gauss_legendre_oracle(n, s0):
@@ -262,17 +263,25 @@ _BAND_ALPHAS = (0.9991, 0.9995, 0.9999, 0.99999)
 class TestMittagLeffler:
     def test_params_validation(self):
         for a, b, z in ((0.0, 1.0, -1.0), (1.5, 1.0, -1.0), (0.5, 0.0, -1.0),
-                        (0.5, 1.0, -1.01 * ML_NEG_Z_LIMIT), (0.5, 1.0, 1e-300),
-                        (1.0, 1.0, 0.5), (1.0, 2.0, 5.0), (0.4, 2.5, 1.0),
+                        (0.5, 1.0, -math.inf), (0.5, 1.0, math.nan),
+                        (0.5, 1.0, 1e-300), (1.0, 1.0, 0.5), (1.0, 2.0, 5.0),
+                        (0.4, 2.5, 1.0),
                         # past the series at alpha = 1, beta = 1.5 or 2.5
                         # reduces to 0.5, not to 1, and there is no integral
                         (1.0, 1.5, -20.0), (1.0, 2.5, -20.0)):
             with pytest.raises(DomainError):
                 ml(a, b, z)
-        with pytest.raises(DomainError, match=r"\[-10000, 0\]"):
+        with pytest.raises(DomainError, match=r"\(-inf, 0\]"):
             ml(0.5, 1.0, 6.0)
         assert ml(0.5, 1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
-        assert math.isfinite(ml(0.5, 1.0, -ML_NEG_Z_LIMIT))
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.9, 0.999, 0.9995, 0.99999, 1.0])
+    def test_most_negative_double_runs(self, a):
+        # every route reaches the end of the axis with no numpy warning
+        z = -sys.float_info.max
+        for b in (a, 1.0, a + 1.0, a + 2.0):
+            assert 0.0 <= ml(a, b, z) < 1e-307
+            assert ml_array(a, b, [z])[0] == ml(a, b, z)
 
     def test_exponential_case(self):
         for z in (-3.0, -1.0, -0.5, -1e-3, 0.0):
@@ -337,6 +346,16 @@ class TestMittagLeffler:
     @pytest.mark.parametrize("a", _BAND_ALPHAS)
     def test_integral_route_band_grid(self, a):
         self._check_band(a, (2.0, 5.0, 10.0, 50.0, 300.0, 1000.0, 1e4))
+
+    @pytest.mark.parametrize("a", _BAND_ALPHAS)
+    def test_integral_route_past_the_double_square_root(self, a):
+        # (x c)^2 overflows from x ~ 1e154; at 1.7e308 every value is
+        # subnormal, so one unit of 2^-1074 is allowed besides 1e-15
+        for b in (a, 1.0, 1.5, 2.0 - a):
+            for x in (1e200, 1.7e308):
+                ref = _ml_asymptotic_mp(a, b, -x)
+                got = special._ml_integral_neg(a, b, -x)
+                assert abs(got - ref) <= 1e-15 * abs(ref) + 1e-323, (a, b, x)
 
     def test_large_beta_recurrence(self):
         # values for beta >= 1 + alpha match a high-precision series
@@ -439,6 +458,66 @@ def _ml_oracle_mp(a, b, x):
     return p * mp.quad(f, pts) / mp.pi
 
 
+def _ml_asymptotic_mp(alpha, beta, z):
+    """E_{alpha,beta}(z) for z <= -1e4 by the large-|z| expansion
+    -sum_k z^-k / Gamma(beta - alpha k), with 40-digit coefficients.
+
+    The sum is truncated at its smallest term, or once a term falls 45
+    digits below the first; a coefficient that is exactly zero (a pole of
+    Gamma) is skipped.  The series is asymptotic, and at these arguments
+    the truncation error and the exponentially small part it misses are
+    both far below double rounding, so this reaches where ``_ml_series_mp``
+    cannot.
+    """
+    with mp.workdps(40):
+        a, b, w = mp.mpf(alpha), mp.mpf(beta), 1 / mp.mpf(z)
+        terms = []
+        for k in range(1, 1000):
+            term = mp.rgamma(b - a * k) * w ** k
+            if term == 0:
+                continue
+            if terms and (abs(term) > abs(terms[-1])
+                          or abs(term) < mp.mpf(10) ** -45 * abs(terms[0])):
+                return float(-mp.fsum(terms))
+            terms.append(term)
+    raise ValueError(f"E_{{{alpha},{beta}}}({z}): no smallest term in 1000")
+
+
+_FAR_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9991, 0.9995, 0.9999,
+               0.99999)
+
+
+class TestWholeNegativeAxis:
+    # worst relative error of ``ml`` on 200 points per (alpha, beta):
+    # 1.5e-15 (alpha = 0.7) up to 0.999, and 6.4e-16 in the band past it
+    @staticmethod
+    def _check(points):
+        checked = 0
+        for a in _FAR_ALPHAS:
+            for b in (a, 1.0, a + 1.0, a + 2.0):
+                for x in np.geomspace(1e4, 1e300, points):
+                    ref = _ml_asymptotic_mp(a, b, -float(x))
+                    got = ml(a, b, -float(x))
+                    assert math.isfinite(got)
+                    if abs(ref) >= _NORMAL_MIN:
+                        checked += 1
+                        assert abs(got - ref) <= 1e-12 * abs(ref), (a, b, x)
+        return checked
+
+    def test_oracle_slice(self):
+        assert self._check(25) == 966
+
+    @pytest.mark.slow
+    def test_oracle_grid(self):
+        assert self._check(200) == 7706
+
+    def test_oracle_matches_the_integral_at_the_seam(self):
+        # at |z| = 1e4 the expansion oracle meets the 40-digit integral
+        for a, b in ((0.3, 1.0), (0.9, 0.9), (0.9995, 1.0)):
+            assert _ml_asymptotic_mp(a, b, -1e4) == pytest.approx(
+                _ml_oracle(a, b, -1e4), rel=1e-15)
+
+
 class TestOracle:
     def test_series_runs_past_its_peak(self):
         # the terms of E_{0.1,2.1}(-1.5) peak near 1e22 at k ~ 560; a sum
@@ -479,9 +558,7 @@ class TestAsymptoticBranch:
     def _check(self, cases):
         worst = 0.0
         for a, b, z in cases:
-            coeffs, reach = special._asymptotic_plan(a, b)
-            got = (ml(a, b, z) if z >= -ML_NEG_Z_LIMIT
-                   else special._asymptotic_sum(coeffs, z))
+            got = ml(a, b, z)
             ref = _ml_oracle(a, b, z)
             worst = max(worst, abs(got - ref) / abs(ref))
         assert worst <= 1e-13
