@@ -103,9 +103,9 @@ def run_simulate(cfg, path) -> int:
 def run_synthesize(cfg, path) -> int:
     cp = cfg.problem  # at the first beta
     traj, residual = closed_loop_solve(cp, cfg.solver)
-    mu = synthesize_control(cp, traj)[-1]
+    u = synthesize_control(cp, traj)
     header = ["t"] + [f"mode_{i}" for i in range(1, traj.truncation + 1)]
-    rows = [[t, *mu[k]] for k, t in enumerate(traj.grid())]
+    rows = [[t, *u[k]] for k, t in enumerate(traj.grid())]
     _write_csv(path, _meta(cfg) + [("beta", _fmt(cp.beta))], header, rows,
                trailer=[("terminal_residual", _fmt(residual))])
     return 0

@@ -171,6 +171,9 @@ def synthesize_shape(spec: str, n: int) -> np.ndarray:
         center, width = args
         if width <= 0.0:
             raise ValueError("gaussian_bump width must be positive")
+        if not math.isfinite(2.0 * width * width):
+            raise ValueError(
+                f"gaussian_bump width {width!r} is too large: 2 width^2 overflows")
         s, w = gauss_legendre(_GAUSS_NODES)
         x, w = math.pi * s, math.pi * w
         # a width whose square underflows gives inf or 0/0 here, which

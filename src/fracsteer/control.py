@@ -1,10 +1,10 @@
 """Regularized steering: Grammian, resolvent, control law, beta sweeps.
 
-The steering law B_q T_alpha(a - t) r is defined once.  The Grammian is
-the solver's own terminal response to it with r = 1: every operator is
-diagonal per mode, so that response is the diagonal, and the linear
-closed loop reproduces the per-mode residual beta/(beta + gamma_n) p_n
-for any channel layout and steering delay.
+One control u enters through every delay, as sum_j B_j u(sigma_j(t)),
+and its steering law is defined once.  The Grammian is the solver's own
+terminal response to it with r = 1: every operator is diagonal per mode,
+so that response is the diagonal, and the linear closed loop reproduces
+beta/(beta + gamma_n) p_n for any channel layout and steering delays.
 """
 
 import math
@@ -64,18 +64,19 @@ def compute_grammian(m: ModelSpec, n_steps: int) -> np.ndarray:
     """Diagonal of the control-influence operator: the solver's terminal
     response to the steering law with r = 1, through the same delays,
     stencils and memory quadrature as every controlled solve."""
-    if m.control_delay_count < 1:
+    if not m.control_delays:
         raise ModelValidationError("the model has no control channel")
     ops = build_grid_operators(m, n_steps)
-    law = _steering_law(m, ops.dt, n_steps, np.ones(m.truncation))
-    gram = memory_integral(ops, realize_controls(m, ops, law))[n_steps]
-    dead = np.flatnonzero(gram <= 0.0) + 1
+    # an overflowing B_i B_j leaves gamma_n inf or nan: rejected, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        law = _steering_law(m, ops.dt, n_steps, np.ones(m.truncation))
+        gram = memory_integral(ops, realize_controls(m, ops, law))[n_steps]
+    dead = np.flatnonzero(~((0.0 < gram) & (gram < math.inf))) + 1
     if dead.size:
         shown = ", ".join(map(str, dead[:5])) + (", ..." if dead.size > 5 else "")
         raise ModelValidationError(
-            f"gamma_n <= 0 on {dead.size} of {m.truncation} modes (n = {shown}): "
-            "the linear part is approximately controllable only if gamma_n > 0 "
-            "on every mode")
+            f"gamma_n <= 0 or not finite on {dead.size} of {m.truncation} modes "
+            f"(n = {shown}): the steering law needs a finite gamma_n > 0 on every mode")
     return gram
 
 
@@ -104,30 +105,35 @@ def residual_p(cp: ControlProblem, traj: Trajectory) -> np.ndarray:
     return cp.target - free - mem[n]
 
 
-def _steering_law(m: ModelSpec, dt: float, n: int, r: np.ndarray):
-    """Per-channel grid samples of the steering law B_q T_alpha(a - t) r.
+def _steering_law(m: ModelSpec, dt: float, n: int, r: np.ndarray) -> np.ndarray:
+    """(n+1, N) grid samples of the one control
+    u(s) = sum_j B_j T_alpha(b - tau_j(s)) r.
 
-    Only the last channel carries it, pre-compensated so that after the
-    solver re-samples it at sigma_q(t) the system sees the undelayed law:
-    an invertible sigma_q is sampled at sigma_q^{-1}(t_k), any other delay
-    at t_k itself.  Samples its stencil never reads are zero, so they and
-    their energy are the control applied; the other channels are zero.
+    tau_j(s) = sigma_j^{-1}(min(s, sigma_j(b))) on the increasing branch,
+    or s where that branch ends before b, clamped to [0, b]: re-sampled
+    at sigma_j(t), term j applies the undelayed law.  A term is zero where
+    its channel's stencil never reads; a zero B_j adds no term.
     """
-    sigma = m.control_delays[-1]
-    tq = dt * np.arange(n + 1)
-    lo, w = _delay_stencil(sigma, dt, tq)
-    if sigma.kind == "scaled_sine" and m.horizon <= sigma.invertible_on:
-        top = sigma(m.horizon)
-        tq = np.array([sigma.invert(min(t, top)) for t in tq])
-    mu = m.control_multipliers[-1] * m.t_alpha_factors(m.horizon - tq) * r
-    mu[np.bincount(lo, 1.0 - w, n + 1) + np.bincount(lo + 1, w, n + 1) == 0.0] = 0.0
-    return [np.zeros((n + 1, m.truncation))
-            for _ in range(m.control_delay_count - 1)] + [mu]
+    b = m.horizon
+    grid = dt * np.arange(n + 1)
+    u = np.zeros((n + 1, m.truncation))
+    for sigma, mult in zip(m.control_delays, m.control_multipliers):
+        if not mult.any():
+            continue
+        lead = grid
+        if b <= sigma.invertible_on:
+            top = sigma(b)
+            lead = [sigma.invert(min(s, top)) for s in grid]
+        lo, w = _delay_stencil(sigma, dt, grid)
+        term = mult * m.t_alpha_factors(b - np.minimum(lead, b)) * r
+        term[np.bincount(lo, 1.0 - w, n + 1) + np.bincount(lo + 1, w, n + 1) == 0.0] = 0.0
+        u += term
+    return u
 
 
-def synthesize_control(cp: ControlProblem, traj: Trajectory):
-    """Per-channel control samples of the regularized steering law with
-    r = (beta I + Gamma)^{-1} p(traj)."""
+def synthesize_control(cp: ControlProblem, traj: Trajectory) -> np.ndarray:
+    """(n+1, N) grid samples of the one control u of the regularized
+    steering law with r = (beta I + Gamma)^{-1} p(traj)."""
     m = cp.model
     n = traj.n_steps
     gram = compute_grammian(m, n)  # also rejects a model with no control channel
@@ -148,8 +154,8 @@ def closed_loop_solve(cp: ControlProblem, cfg: SolverConfig):
     # as in picard_solve, the first non-finite change ends the alternation
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cp.outer_max_iters):
-            mu = synthesize_control(cp, traj)
-            new = picard_solve(m, cfg, control=mu)
+            u = synthesize_control(cp, traj)
+            new = picard_solve(m, cfg, control=u)
             change = float(np.max(np.linalg.norm(new.states - traj.states, axis=1)))
             history.append(change)
             traj = new
@@ -164,13 +170,13 @@ def closed_loop_solve(cp: ControlProblem, cfg: SolverConfig):
         residual_history=history)
 
 
-def control_energy(dt: float, mu: np.ndarray) -> float:
+def control_energy(dt: float, u: np.ndarray) -> float:
     """Time-L2 norm of grid-sampled control values (trapezoid rule)."""
-    mu = np.asarray(mu, dtype=float)
-    # squares taken at the scale of the largest |mu| cannot overflow; a
+    u = np.asarray(u, dtype=float)
+    # squares taken at the scale of the largest |u| cannot overflow; a
     # power of two scales exactly, so no other energy changes
-    _, e = math.frexp(float(np.max(np.abs(mu))))
-    sq = np.sum(np.ldexp(mu, -e) ** 2, axis=1)
+    _, e = math.frexp(float(np.max(np.abs(u))))
+    sq = np.sum(np.ldexp(u, -e) ** 2, axis=1)
     return math.ldexp(math.sqrt(dt * (np.sum(sq) - 0.5 * sq[0] - 0.5 * sq[-1])), e)
 
 
@@ -192,9 +198,8 @@ def beta_sweep(cp: ControlProblem, betas, cfg: SolverConfig) -> SweepReport:
         cpb = replace(cp, beta=b)
         try:
             traj, res = closed_loop_solve(cpb, cfg)
-            mu = synthesize_control(cpb, traj)
             residuals.append(res)
-            energies.append(control_energy(traj.dt, mu[-1]))
+            energies.append(control_energy(traj.dt, synthesize_control(cpb, traj)))
             flags.append(True)
         except PicardDivergenceError:
             residuals.append(math.nan)

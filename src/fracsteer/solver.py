@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import memory_convolve
-from .errors import (DomainError, GridMismatchError, ModelValidationError,
-                     PicardDivergenceError)
+from .errors import DomainError, GridMismatchError, PicardDivergenceError
 from .fractional import ConvolutionKernel, convolution_kernel
 from .gammafn import gamma
 from .special import ml_array
@@ -46,7 +45,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """Grid-sampled states (one row per node) and, on the same rows, the
-    realized delayed-control forcing sum_j B_j mu_j(sigma_j(t))."""
+    realized delayed-control forcing sum_j B_j u(sigma_j(t)) of the one
+    control u."""
 
     dt: float
     states: np.ndarray
@@ -190,7 +190,7 @@ def memory_integral(ops: _GridOperators, g: np.ndarray) -> np.ndarray:
 
 def _nonlinearity_rows(m: ModelSpec, ops: _GridOperators, states: np.ndarray) -> np.ndarray:
     """F(s, W_delta(s)) at every grid node (rows)."""
-    if m.state_delay_count == 0 or m.nonlinearity.kind == "zero":
+    if not m.state_delays or m.nonlinearity.kind == "zero":
         return np.zeros_like(states)
     channels = np.stack([
         mult[None, :] * _interp_rows(states, lo, w)
@@ -199,21 +199,16 @@ def _nonlinearity_rows(m: ModelSpec, ops: _GridOperators, states: np.ndarray) ->
 
 
 def realize_controls(m: ModelSpec, ops: _GridOperators, control) -> np.ndarray:
-    """Realized forcing rows sum_j B_j mu_j(sigma_j(t_k)); zero for None."""
+    """Realized forcing rows sum_j B_j u(sigma_j(t_k)) of the one control
+    u, given by its (n+1, N) grid samples; zero for None."""
     shape = (len(ops.offset_factors), m.truncation)
     if control is None:
         return np.zeros(shape)
-    if len(control) != m.control_delay_count:
-        raise ModelValidationError(
-            f"{len(control)} control channels given, model has {m.control_delay_count}")
-    realized = []
-    for mult, samples, (lo, w) in zip(m.control_multipliers, control,
-                                      ops.control_stencils):
-        mu = np.asarray(samples, dtype=float)
-        if mu.shape != shape:
-            raise GridMismatchError(
-                f"control sample shape {mu.shape} does not match the grid")
-        realized.append(mult[None, :] * _interp_rows(mu, lo, w))
+    u = np.asarray(control, dtype=float)
+    if u.shape != shape:
+        raise GridMismatchError(f"control sample shape {u.shape} does not match the grid")
+    realized = [mult[None, :] * _interp_rows(u, lo, w)
+                for mult, (lo, w) in zip(m.control_multipliers, ops.control_stencils)]
     return np.sum(realized, axis=0) if realized else np.zeros(shape)
 
 
@@ -227,10 +222,10 @@ def _picard_sweep(m, ops, states, forcing):
 def picard_solve(m: ModelSpec, cfg: SolverConfig, control=None) -> Trajectory:
     """Fixed point of the mild-solution map, from the free-response guess.
 
-    ``control`` gives per-channel control samples mu_j on the grid (or
+    ``control`` gives the (n+1, N) grid samples of the one control u (or
     None for the uncontrolled system); the forcing actually applied is
-    V_sigma(t) = sum_j B_j mu_j(sigma_j(t)) with linear interpolation at
-    the delayed times.
+    V_sigma(t) = sum_j B_j u(sigma_j(t)) with linear interpolation at the
+    delayed times.
     """
     ops = build_grid_operators(m, cfg.n_steps)
     forcing = realize_controls(m, ops, control)

@@ -72,23 +72,23 @@ class DelayFn:
 
     @property
     def invertible_on(self) -> float:
-        """Upper end of the interval [0, b] on which the delay is
-        strictly increasing from 0 (inf if everywhere)."""
+        """Largest horizon b on which ``invert`` maps every delayed time
+        of [0, b] back into [0, b] along one increasing branch (inf if
+        every b)."""
         if self.kind == "scaled_sine":
             return 0.5 * math.pi * self.param
-        if self.kind == "identity":
-            return math.inf
-        return 0.0  # constant_lag is flat near 0: not invertible from 0
+        return math.inf
 
     def invert(self, s: float) -> float:
-        """t with delay(t) = s, on the strictly increasing branch."""
+        """t with delay(t) = s on the increasing branch: s for identity,
+        tau asin(s) for scaled_sine, s + ell for constant_lag."""
         if self.kind == "identity":
             return s
         if self.kind == "scaled_sine":
             if not (0.0 <= s <= 1.0):
                 raise DomainError(f"scaled_sine value {s} outside [0, 1]")
             return self.param * math.asin(s)
-        raise DomainError(f"delay kind {self.kind!r} is not invertible")
+        return s + self.param
 
 
 @dataclass(frozen=True)
@@ -186,14 +186,6 @@ class ModelSpec:
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ModelValidationError("nonlocal times must be strictly increasing")
         object.__setattr__(self, "nonlocal_terms", terms)
-
-    @property
-    def state_delay_count(self) -> int:
-        return len(self.state_delays)
-
-    @property
-    def control_delay_count(self) -> int:
-        return len(self.control_delays)
 
     # --- per-mode eigenfactors -------------------------------------------
 

@@ -331,6 +331,34 @@ class TestAcceptedConfigs:
         assert e.value.code == 2
         assert f"[model] {key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "synthesize"])
+    def test_last_node_past_the_horizon(self, tmp_path, capsys, command):
+        # (0.9 / 14) * 14 rounds up past 0.9: the law's lead times are
+        # clamped to the horizon, so T_alpha never sees a negative time
+        assert (0.9 / 14) * 14 > 0.9
+        shipped = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
+        cfg = _cfg_file(tmp_path, shipped.replace("horizon = 1.0", "horizon = 0.9"))
+        assert main(["--config", cfg, "--out", str(tmp_path), "--steps", "14",
+                     command]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_live_channel_first_reproduces_the_shipped_sweep(self, tmp_path):
+        # one control through every delay: swapping the channels, with
+        # their multipliers, leaves the sweep as it was
+        shipped = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
+        flipped = shipped.replace(
+            "control_delays = scaled_sine(1), identity\ncontrol_multipliers = zero, identity",
+            "control_delays = identity, scaled_sine(1)\ncontrol_multipliers = identity, zero")
+        assert flipped != shipped
+        tables = []
+        for name, text in (("shipped", shipped), ("flipped", flipped)):
+            out = str(tmp_path / name)
+            assert main(["--config", _cfg_file(tmp_path, text, name + ".cfg"),
+                         "--out", out, "--steps", "16", "sweep"]) == 0
+            meta, _, rows = _read_csv(os.path.join(out, "sweep.csv"))
+            tables.append((meta["uncontrolled_gap"], rows))
+        assert tables[0] == tables[1]
+
 
 class TestRunErrors:
     # every way a run stops after parsing writes one record: the metadata,
@@ -406,10 +434,10 @@ class TestRunErrors:
 
 
 class TestOverflowEndsInOneLine:
-    # each config overflows or underflows a double on the way, or leaves the
-    # steering law no mode to reach; the run ends in its one error line, and
-    # numpy warns of nothing before it.  A stiff model whose eigenfactor
-    # arguments stay finite runs, with nothing on stderr
+    # each config overflows or underflows a double on the way; the run ends
+    # in its one error line, and numpy warns of nothing before it.  A stiff
+    # model whose eigenfactor arguments stay finite runs, with nothing on
+    # stderr, and so does a layout whose live channel is not the last
     SHIPPED = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
     NODE = math.pi * float(gauss_legendre(config._GAUSS_NODES)[0][0])
 
@@ -441,17 +469,22 @@ class TestOverflowEndsInOneLine:
         # the steering multiplier squared underflows: gamma_n = 0 everywhere
         ("control_multipliers = zero, identity",
          "control_multipliers = zero, constant(1e-300)", "sweep", 1,
-         "sweep: gamma_n <= 0 on 32 of 32 modes"),
+         "sweep: gamma_n <= 0 or not finite on 32 of 32 modes"),
         ("control_multipliers = zero, identity",
          "control_multipliers = zero, constant(1e-300)", "synthesize", 1,
-         "synthesize: gamma_n <= 0 on 32 of 32 modes"),
-        # the live channel is not the one the law drives: gamma_n = 0 exactly
+         "synthesize: gamma_n <= 0 or not finite on 32 of 32 modes"),
+        # ... or overflows: gamma_n is not finite
         ("control_multipliers = zero, identity",
-         "control_multipliers = identity, zero", "sweep", 1,
-         "sweep: gamma_n <= 0 on 32 of 32 modes"),
+         "control_multipliers = zero, constant(1e200)", "sweep", 1,
+         "sweep: gamma_n <= 0 or not finite on 32 of 32 modes"),
+        # the one control reaches the system through the first channel
         ("control_multipliers = zero, identity",
-         "control_multipliers = identity, zero", "synthesize", 1,
-         "synthesize: gamma_n <= 0 on 32 of 32 modes"),
+         "control_multipliers = identity, zero", "sweep", 0, None),
+        ("control_multipliers = zero, identity",
+         "control_multipliers = identity, zero", "synthesize", 0, None),
+        # 2 w^2 overflows
+        ("u0 = gaussian_bump(1.0, 0.35)", "u0 = gaussian_bump(1.0, 1e300)",
+         "simulate", 2, "line 10: [model] u0: gaussian_bump width 1e+300 is too large"),
         # the stiffest argument reaches -4e6
         ("truncation = 32", "truncation = 2000", "simulate", 0, None),
         # and -1e300 * 2^0.5, then -1e308 * 2^0.5, both finite
@@ -466,8 +499,9 @@ class TestOverflowEndsInOneLine:
          "Mittag-Leffler argument -lambda t^alpha overflows at t = 2.0"),
     ], ids=["underflowing-bump", "overflowing-start", "huge-tanh",
             "overflowing-target-norm", "underflowing-grammian-sweep",
-            "underflowing-grammian-synthesize", "unsteered-channel-sweep",
-            "unsteered-channel-synthesize", "truncation-2000",
+            "underflowing-grammian-synthesize", "overflowing-grammian-sweep",
+            "unsteered-channel-sweep", "unsteered-channel-synthesize",
+            "overflowing-bump-width", "truncation-2000",
             "eigenvalue-1e300", "eigenvalue-1e308", "overflowing-eigenvalue"])
     def test_one_line_without_warnings(self, tmp_path, old, new, command, status,
                                        message):

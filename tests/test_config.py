@@ -41,8 +41,8 @@ class TestParsing:
         m = cfg.model
         assert m.alpha == 0.5
         assert m.truncation == 32
-        assert m.state_delay_count == 1
-        assert m.control_delay_count == 2
+        assert len(m.state_delays) == 1
+        assert len(m.control_delays) == 2
         assert m.nonlocal_terms == ((0.1, 0.25), (0.05, 0.5))
         assert m.nonlinearity.kind == "bounded_tanh"
         assert np.all(m.control_multipliers[0] == 0.0)

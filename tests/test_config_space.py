@@ -8,9 +8,9 @@ that names its key, or solve to a finite trajectory.  The 128-step slice
 is marked ``slow``; run it with ``pytest -m slow``.
 
 The control slice checks the paper's claim on the shipped model, steered
-through one delayed channel: over beta = 1e-2, 1e-4, 1e-6 the closed loop
-converges, its residual falls strictly and ends below 1% of the
-uncontrolled gap.
+by one control through one delayed channel or through several live
+ones: over beta = 1e-2, 1e-4, 1e-6 the closed loop converges, its
+residual falls strictly and ends below 1% of the uncontrolled gap.
 """
 
 import itertools
@@ -80,7 +80,13 @@ def test_runs_or_is_rejected_with_its_key(alpha, truncation, n_steps, horizon,
 
 
 CONTROL_ALPHAS = (0.3, 0.5, 0.9, 1.0)
-CONTROL_DELAYS = ("identity", "scaled_sine(2)", "constant_lag(0.1)")
+# (control_delays, control_multipliers): one channel of each kind, then
+# layouts whose every channel is live
+CONTROL_LAYOUTS = (("identity", "identity"),
+                   ("scaled_sine(2)", "identity"),
+                   ("constant_lag(0.1)", "identity"),
+                   ("scaled_sine(1), identity", "identity, identity"),
+                   ("constant_lag(0.1), scaled_sine(2)", "identity, constant(0.5)"))
 
 _CONTROL_TEMPLATE = """\
 [model]
@@ -89,8 +95,8 @@ truncation = 32
 u0 = gaussian_bump(1.0, 0.35)
 state_delays = scaled_sine(1)
 state_multipliers = laplacian
-control_delays = {delay}
-control_multipliers = identity
+control_delays = {delays}
+control_multipliers = {multipliers}
 nonlocal_terms = {terms}
 nonlinearity = bounded_tanh(0.1)
 
@@ -104,19 +110,21 @@ betas = 1e-2, 1e-4, 1e-6
 
 
 def _control_cases():
-    for a, delay, terms in itertools.product(CONTROL_ALPHAS, CONTROL_DELAYS, NONLOCAL):
-        name = (f"a{a}-{delay.split('(')[0]}-"
-                f"{'local' if terms == 'none' else 'nonlocal'}")
+    for a, (delays, mults), terms in itertools.product(
+            CONTROL_ALPHAS, CONTROL_LAYOUTS, NONLOCAL):
+        kinds = "-".join(d.split("(")[0] for d in delays.split(", "))
+        name = f"a{a}-{kinds}-{'local' if terms == 'none' else 'nonlocal'}"
         # tier-1 keeps the cases that a Grammian of undelayed control on
         # every channel fails to steer
-        slow = delay == "identity" or (delay == "scaled_sine(2)" and a == 1.0)
+        slow = delays == "identity" or (delays == "scaled_sine(2)" and a == 1.0)
         marks = (pytest.mark.slow,) if slow else ()
-        yield pytest.param(a, delay, terms, id=name, marks=marks)
+        yield pytest.param(a, delays, mults, terms, id=name, marks=marks)
 
 
-@pytest.mark.parametrize("alpha, delay, terms", list(_control_cases()))
-def test_steering_approaches_the_target(alpha, delay, terms):
-    cfg = parse_config(_CONTROL_TEMPLATE.format(alpha=alpha, delay=delay, terms=terms))
+@pytest.mark.parametrize("alpha, delays, multipliers, terms", list(_control_cases()))
+def test_steering_approaches_the_target(alpha, delays, multipliers, terms):
+    cfg = parse_config(_CONTROL_TEMPLATE.format(alpha=alpha, delays=delays,
+                                                multipliers=multipliers, terms=terms))
     rep = beta_sweep(cfg.problem, cfg.betas, cfg.solver)
     assert all(rep.converged)
     rs = rep.residuals

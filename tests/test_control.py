@@ -43,25 +43,50 @@ class TestGrammian:
         # a long list is cut after five modes
         with pytest.raises(ModelValidationError, match=r"\(n = 1, 2, 3, 4, 5, \.\.\.\)"):
             compute_grammian(_model(n=7, b=np.zeros(7)), 64)
-        # a live channel that does not carry the law steers nothing either
+        # B B overflows in the realized law: gamma_n is not finite, and
+        # numpy warns of nothing before the error
+        with pytest.raises(ModelValidationError, match=r"not finite on 2 of 2 modes"):
+            compute_grammian(_model(n=2, b=np.full(2, 1e200)), 64)
+        # channels whose multipliers cancel leave the one control no mode
         m = replace(_model(n=3), control_delays=(DelayFn("identity"),) * 2,
-                    control_multipliers=(np.ones(3), np.zeros(3)))
+                    control_multipliers=(np.ones(3), -np.ones(3)))
         with pytest.raises(ModelValidationError, match=r"on 3 of 3 modes \(n = 1, 2, 3\)"):
             compute_grammian(m, 64)
+
+    def test_live_channel_need_not_be_last(self):
+        # a zero channel adds nothing, wherever it stands
+        m = _model(n=3, lam=[1.0, 4.0, 9.0])
+        g = compute_grammian(m, 64)
+        for bs in ((np.ones(3), np.zeros(3)), (np.zeros(3), np.ones(3))):
+            two = replace(m, control_delays=(DelayFn("identity"),) * 2,
+                          control_multipliers=bs)
+            assert np.array_equal(compute_grammian(two, 64), g)
 
     def test_classical_single_mode(self):
         # alpha=1, lambda=1: gamma = int_0^1 e^{-2(1-s)} ds = (1-e^{-2})/2
         g = compute_grammian(_model(), 2048)
         assert g[0] == pytest.approx(GAMMA_CLASSICAL, abs=1e-7)
 
-    def test_only_the_steering_channel_counts(self):
-        # the law drives the last channel; the first one carries zero samples
+    def test_every_channel_counts(self):
+        # the one control is the sum of both channels' terms, and each
+        # channel applies it: two identity channels of B = 1 give 2 * 2 gamma
         m1 = _model(n=2, lam=[1.0, 4.0])
         m2 = replace(m1, control_delays=(DelayFn("identity"),) * 2,
                      control_multipliers=(np.ones(2), np.ones(2)))
         g1 = compute_grammian(m1, 128)
         g2 = compute_grammian(m2, 128)
-        assert np.array_equal(g2, g1)
+        assert np.array_equal(g2, 4.0 * g1)
+
+    def test_lag_is_pre_compensated(self):
+        # alpha = 1, lambda = 1, lag ell: the channel reads u(t - ell) =
+        # e^{-(b - t)} on [ell, b] and u(0) = e^{-(b - ell)} before ell, so
+        # gamma = e^{-(b-ell)} (e^{-(b-ell)} - e^{-b}) + (1 - e^{-2(b-ell)})/2
+        # (the law sampled at t itself missed it by 22%)
+        ell = 0.25
+        m = replace(_model(), control_delays=(DelayFn("constant_lag", ell),))
+        exact = (math.exp(ell - 1.0) * (math.exp(ell - 1.0) - math.exp(-1.0))
+                 + 0.5 * (1.0 - math.exp(2.0 * (ell - 1.0))))
+        assert compute_grammian(m, 512)[0] == pytest.approx(exact, rel=2e-6)
 
     def test_requires_control_channel(self):
         m = ModelSpec(truncation=1, alpha=0.5, horizon=1.0,
@@ -137,9 +162,9 @@ class TestSynthesis:
         m = _model(n=2, lam=[1.0, 4.0])
         cp = ControlProblem(model=m, target=np.zeros(2), beta=0.1)
         traj = picard_solve(m, SolverConfig(n_steps=64))
-        mu = synthesize_control(cp, traj)
-        assert len(mu) == 1
-        assert np.all(mu[0] == 0.0)
+        u = synthesize_control(cp, traj)
+        assert u.shape == (65, 2)
+        assert np.all(u == 0.0)
 
     def test_classical_law_shape(self):
         # alpha=1: mu(t) = e^{-(1-t)} p/(beta + gamma)
@@ -147,7 +172,7 @@ class TestSynthesis:
         cp = ControlProblem(model=m, target=np.ones(1), beta=0.1)
         n = 2048
         traj = picard_solve(m, SolverConfig(n_steps=n))
-        mu = synthesize_control(cp, traj)[0][:, 0]
+        mu = synthesize_control(cp, traj)[:, 0]
         p = 1.0 - math.exp(-1.0)
         scale = p / (0.1 + GAMMA_CLASSICAL)
         assert scale == pytest.approx(1.8785257 * p, rel=1e-6)
@@ -159,7 +184,7 @@ class TestSynthesis:
         m = _model(n=1, alpha=0.5, u0=[1.0], b=np.array([2.0]))
         cp = ControlProblem(model=m, target=np.zeros(1), beta=0.2)
         traj = picard_solve(m, SolverConfig(n_steps=128))
-        mu = synthesize_control(cp, traj)[0]
+        mu = synthesize_control(cp, traj)
         g = compute_grammian(m, 128)
         p = residual_p(cp, traj)
         expect = 2.0 * (1.0 / gamma(0.5)) * p[0] / (0.2 + g[0])
@@ -167,12 +192,13 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("delay, unread, energy", [
         ("scaled_sine(2)", 33, 1.3191712332987),
-        ("constant_lag(0.1)", 6, 1.7984273751832),
+        ("constant_lag(0.1)", 6, 1.5628483908682),
     ], ids=["scaled_sine", "constant_lag"])
     def test_samples_no_stencil_reads_are_zero(self, delay, unread, energy):
         # sin(1/2) < 1 and 1 - 0.1 < 1: the samples past sigma(1) never
         # reach the system, so they carry neither control nor energy (the
-        # energy at beta = 1e-4 was 7.12 and 24.2 with them)
+        # energy at beta = 1e-4 was 7.12 and 24.2 with them; the lag's was
+        # 1.80 before its law was pre-compensated)
         cfg = config.parse_config(
             "[model]\nalpha = 0.5\ntruncation = 32\nu0 = gaussian_bump(1.0, 0.35)\n"
             "state_delays = scaled_sine(1)\nstate_multipliers = laplacian\n"
@@ -180,7 +206,7 @@ class TestSynthesis:
             "nonlinearity = bounded_tanh(0.1)\n[solver]\nn_steps = 64\n[control]\n"
             "target = gaussian_bump(1.5707963267948966, 0.4)\nbetas = 1e-4\n")
         traj, _ = closed_loop_solve(cfg.problem, cfg.solver)
-        mu = synthesize_control(cfg.problem, traj)[0]
+        mu = synthesize_control(cfg.problem, traj)
         lo, w = build_grid_operators(cfg.model, 64).control_stencils[0]
         read = np.zeros(65, dtype=bool)
         read[lo[w != 1.0]] = read[lo[w != 0.0] + 1] = True
@@ -195,10 +221,14 @@ class TestClosedLoop:
         (DelayFn("identity"), DelayFn("identity")),
         (DelayFn("scaled_sine", 2.0),),
         (DelayFn("constant_lag", 0.1),),
-    ], ids=["identity", "two-identity", "scaled_sine", "constant_lag"])
+        (DelayFn("scaled_sine", 1.0), DelayFn("identity")),
+        (DelayFn("constant_lag", 0.1), DelayFn("scaled_sine", 2.0)),
+        (DelayFn("identity"), DelayFn("constant_lag", 0.3), DelayFn("scaled_sine", 1.5)),
+    ], ids=["identity", "two-identity", "scaled_sine", "constant_lag",
+            "sine-identity", "lag-sine", "identity-lag-sine"])
     def test_linear_residual_formula(self, delays):
         # linear system: terminal residual is exactly beta/(beta+gamma_n) p_n,
-        # whichever channels and steering delay the law goes through
+        # whichever delays the one control goes through, every channel live
         lam = np.arange(1.0, 5.0) ** 2
         target = np.array([0.2, -0.1, 0.05, 0.3])
         cfg = SolverConfig(n_steps=64)
@@ -221,7 +251,7 @@ class TestClosedLoop:
         cp = ControlProblem(model=m, target=free.states[64], beta=1e-3)
         traj, res = closed_loop_solve(cp, SolverConfig(n_steps=64))
         assert res < 1e-8
-        mu = synthesize_control(cp, traj)[-1]
+        mu = synthesize_control(cp, traj)
         assert control_energy(traj.dt, mu) < 1e-7
 
     def test_heavy_regularization_near_gap(self):

@@ -174,23 +174,23 @@ class TestPicard:
         cfg = SolverConfig(n_steps=32)
         mu = np.zeros((33, 2))
         mu[:, 0] = 0.3
-        base = picard_solve(m, cfg, control=[mu])
+        base = picard_solve(m, cfg, control=mu)
         bumped = mu.copy()
         bumped[20:, :] += 1.0
-        pert = picard_solve(m, cfg, control=[bumped])
+        pert = picard_solve(m, cfg, control=bumped)
         assert np.array_equal(base.states[:20], pert.states[:20])
         assert not np.allclose(base.states[20:], pert.states[20:])
 
     def test_forcing_is_the_summed_realized_control(self):
-        # two identity-delay channels: forcing = B_1 mu_1 + B_2 mu_2 on the grid
+        # one control through two channels: forcing = B_1 u(t) + B_2 u(t - 1/4)
         b1, b2 = np.array([1.0, 2.0]), np.array([0.5, -1.0])
         m = _model(n=2, alpha=0.6,
-                   control_delays=(DelayFn("identity"), DelayFn("identity")),
+                   control_delays=(DelayFn("identity"), DelayFn("constant_lag", 0.25)),
                    control_multipliers=(b1, b2))
-        mu1 = np.outer(np.linspace(0.0, 1.0, 17), [1.0, 1.0])
-        mu2 = np.full((17, 2), 0.25)
-        tr = picard_solve(m, SolverConfig(n_steps=16), control=[mu1, mu2])
-        assert np.array_equal(tr.forcing, b1 * mu1 + b2 * mu2)
+        u = np.outer(np.linspace(0.0, 1.0, 17), [1.0, 3.0])
+        tr = picard_solve(m, SolverConfig(n_steps=16), control=u)
+        lagged = np.concatenate([np.repeat(u[:1], 4, axis=0), u[:13]])
+        assert np.array_equal(tr.forcing, b1 * u + b2 * lagged)
         assert not np.any(picard_solve(m, SolverConfig(n_steps=16)).forcing)
 
     def test_control_shape_checked(self):
@@ -198,4 +198,4 @@ class TestPicard:
                    control_multipliers=(np.ones(2),))
         with pytest.raises(GridMismatchError):
             picard_solve(m, SolverConfig(n_steps=32),
-                         control=[np.zeros((10, 2))])
+                         control=np.zeros((10, 2)))

@@ -37,8 +37,11 @@ class TestDelayFn:
         assert d.invertible_on == pytest.approx(math.pi)
         with pytest.raises(DomainError):
             d.invert(1.5)
-        with pytest.raises(DomainError):
-            DelayFn("constant_lag", 0.5).invert(0.3)
+        # a lag inverts on its increasing branch t >= ell, for every horizon
+        lag = DelayFn("constant_lag", 0.5)
+        assert lag.invert(0.3) == 0.8 and lag.invertible_on == math.inf
+        for t in (0.5, 0.9, 3.0):
+            assert lag.invert(lag(t)) == pytest.approx(t, rel=1e-15)
 
 
 class TestNonlinearityFn:
