@@ -4,7 +4,7 @@ from .backend import BACKEND_NAME
 from .config import ExperimentConfig, parse_config, synthesize_shape
 from .control import (ControlProblem, SweepReport, beta_sweep,
                       closed_loop_solve, compute_grammian, control_energy,
-                      residual_p, resolvent_apply, synthesize_control)
+                      residual_p, synthesize_control)
 from .errors import (ConfigError, DomainError, GridMismatchError,
                      ModelValidationError, PicardDivergenceError)
 from .fractional import ConvolutionKernel, convolution_kernel

@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ModelValidationError, PicardDivergenceError
-from .solver import (SolverConfig, Trajectory, _delay_stencil,
-                     _nonlinearity_rows, build_grid_operators, memory_integral,
-                     nonlocal_offset_factor, nonlocal_offsets, picard_solve,
-                     realize_controls)
+from .solver import (SolverConfig, Trajectory, _delay_stencil, _norm, _scaled,
+                     _nonlinearity_rows, build_grid_operators, fixed_point,
+                     memory_integral, nonlocal_offset_factor, nonlocal_offsets,
+                     picard_solve, realize_controls)
 from .spectral import ModelSpec, _state_vector
 
 
@@ -80,13 +80,6 @@ def compute_grammian(m: ModelSpec, n_steps: int) -> np.ndarray:
     return gram
 
 
-def resolvent_apply(g: np.ndarray, beta: float, v: np.ndarray) -> np.ndarray:
-    """(beta I + Gamma)^{-1} v for the Grammian diagonal ``g``."""
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    return v / (beta + g)
-
-
 def residual_p(cp: ControlProblem, traj: Trajectory) -> np.ndarray:
     """u_a - S_alpha(a) u(0) - int_0^a (a-s)^{a-1} T_alpha(a-s) F ds."""
     m = cp.model
@@ -137,7 +130,7 @@ def synthesize_control(cp: ControlProblem, traj: Trajectory) -> np.ndarray:
     m = cp.model
     n = traj.n_steps
     gram = compute_grammian(m, n)  # also rejects a model with no control channel
-    r = resolvent_apply(gram, cp.beta, residual_p(cp, traj))
+    r = residual_p(cp, traj) / (cp.beta + gram)
     return _steering_law(m, traj.dt, n, r)
 
 
@@ -149,34 +142,18 @@ def closed_loop_solve(cp: ControlProblem, cfg: SolverConfig):
     or the alternation that does not settle raises PicardDivergenceError.
     """
     m = cp.model
-    traj = picard_solve(m, cfg, control=None)
-    history = []
-    # as in picard_solve, the first non-finite change ends the alternation
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cp.outer_max_iters):
-            u = synthesize_control(cp, traj)
-            new = picard_solve(m, cfg, control=u)
-            change = float(np.max(np.linalg.norm(new.states - traj.states, axis=1)))
-            history.append(change)
-            traj = new
-            if change < cp.outer_tol:
-                residual = float(np.linalg.norm(traj.states[-1] - cp.target))
-                return traj, residual
-            if not math.isfinite(change):
-                break
-    raise PicardDivergenceError(
-        f"control/trajectory alternation did not settle after {len(history)} "
-        f"of {cp.outer_max_iters} rounds (last change {history[-1]:.3e})",
-        residual_history=history)
+    free = picard_solve(m, cfg, control=None)
+    traj = fixed_point(lambda t: picard_solve(m, cfg, control=synthesize_control(cp, t)),
+                       free, cp.outer_tol, cp.outer_max_iters,
+                       "control/trajectory alternation did not settle after {} of {} rounds",
+                       rows=lambda t: t.states)
+    return traj, float(_norm(traj.states[-1] - cp.target))
 
 
 def control_energy(dt: float, u: np.ndarray) -> float:
     """Time-L2 norm of grid-sampled control values (trapezoid rule)."""
-    u = np.asarray(u, dtype=float)
-    # squares taken at the scale of the largest |u| cannot overflow; a
-    # power of two scales exactly, so no other energy changes
-    _, e = math.frexp(float(np.max(np.abs(u))))
-    sq = np.sum(np.ldexp(u, -e) ** 2, axis=1)
+    v, e = _scaled(u)
+    sq = np.sum(v ** 2, axis=1)
     return math.ldexp(math.sqrt(dt * (np.sum(sq) - 0.5 * sq[0] - 0.5 * sq[-1])), e)
 
 
@@ -192,7 +169,7 @@ def beta_sweep(cp: ControlProblem, betas, cfg: SolverConfig) -> SweepReport:
     if any(b2 >= b1 for b1, b2 in zip(bs, bs[1:])):
         raise DomainError("beta values must be strictly decreasing")
     free = picard_solve(cp.model, cfg, control=None)
-    gap = float(np.linalg.norm(free.states[-1] - cp.target))
+    gap = float(_norm(free.states[-1] - cp.target))
     residuals, energies, flags = [], [], []
     for b in bs:
         cpb = replace(cp, beta=b)

@@ -34,7 +34,9 @@ class ConfigError(ValueError):
 class PicardDivergenceError(RuntimeError):
     """A fixed-point iteration did not settle within its budget: the Picard
     solve of the mild solution or the closed loop's control/trajectory
-    alternation.  ``residual_history`` holds the change of each iteration."""
+    alternation, both run by ``solver.fixed_point``.  The message gives the
+    last change and says when it is rounding of the iterate (a stall, not a
+    failure to contract).  ``residual_history`` holds each change."""
 
     def __init__(self, message, residual_history=()):
         super().__init__(message)

@@ -7,9 +7,9 @@ The trajectory satisfies, at every grid time t,
 
 with the singular memory integral discretized by the shared
 product-trapezoidal weights and the operator families acting by
-per-mode eigenfactors.  The fixed point is found by Picard iteration;
-non-contraction, and an iterate that is no longer finite, are reported,
-never silently accepted.
+per-mode eigenfactors.  The fixed point is found by Picard iteration in
+``fixed_point``, the one loop that also runs the closed loop; no contraction,
+a stall at rounding and a non-finite iterate are reported, never accepted.
 """
 
 import math
@@ -25,6 +25,7 @@ from .special import ml_array
 from .spectral import ModelSpec
 
 _GRID_RTOL = 1e-9
+_STALL_EPS = 8  # a change within this many eps of the iterate's norm is rounding
 
 
 @dataclass(frozen=True)
@@ -219,6 +220,46 @@ def _picard_sweep(m, ops, states, forcing):
     return ops.s_factors * offsets + memory_integral(ops, g)
 
 
+def _scaled(a):
+    """``a`` over the power of two of its largest |a|, and that exponent:
+    an exact scale at which no square overflows."""
+    a = np.asarray(a, dtype=float)
+    _, e = math.frexp(float(np.max(np.abs(a))))
+    return np.ldexp(a, -e), e
+
+
+def _norm(a, axis=None):
+    """``np.linalg.norm(a, axis=axis)`` without overflow (Blue's scaling,
+    ACM TOMS 4(1), 1978): every change and residual norm is this one."""
+    v, e = _scaled(a)
+    return np.ldexp(np.linalg.norm(v, axis=axis), e)
+
+
+def fixed_point(step, x, tol: float, max_iters: int, failure: str, rows=np.asarray):
+    """x <- step(x) until the largest row norm of the change of ``rows(x)``
+    is below ``tol``.  A non-finite change (unwarned) or the budget raises
+    PicardDivergenceError: ``failure`` formatted with the count and the
+    budget, the last change, and a note when that change is rounding."""
+    history = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            new = step(x)
+            change = float(np.max(_norm(rows(new) - rows(x), axis=1)))
+            history.append(change)
+            x = new
+            if change < tol:
+                return x
+            if not math.isfinite(change):
+                break
+        size = float(np.max(_norm(rows(x), axis=1)))
+    stalled = math.isfinite(size) and change <= _STALL_EPS * np.finfo(float).eps * size
+    stall = (f"; it stalled at rounding, within {_STALL_EPS} eps of the iterate's "
+             f"norm {size:.3e}" if stalled else "")
+    raise PicardDivergenceError(
+        failure.format(len(history), max_iters) + f" (last change {change:.3e}){stall}",
+        residual_history=history)
+
+
 def picard_solve(m: ModelSpec, cfg: SolverConfig, control=None) -> Trajectory:
     """Fixed point of the mild-solution map, from the free-response guess.
 
@@ -229,28 +270,14 @@ def picard_solve(m: ModelSpec, cfg: SolverConfig, control=None) -> Trajectory:
     """
     ops = build_grid_operators(m, cfg.n_steps)
     forcing = realize_controls(m, ops, control)
-    base = m.u0 + m.v0
-    states = ops.s_factors * base[None, :]
-    history = []
-    # an iterate that overflows ends the solve at its first non-finite
-    # change, reported by the error below rather than numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.picard_max_iters):
-            new = _picard_sweep(m, ops, states, forcing)
-            diff = float(np.max(np.linalg.norm(new - states, axis=1)))
-            history.append(diff)
-            states = new
-            if diff < cfg.picard_tol:
-                return Trajectory(ops.dt, states, forcing)
-            if not math.isfinite(diff):
-                break
-    raise PicardDivergenceError(
-        f"no contraction after {len(history)} of {cfg.picard_max_iters} "
-        f"iterations (last change {history[-1]:.3e})", residual_history=history)
+    states = fixed_point(lambda s: _picard_sweep(m, ops, s, forcing),
+                         ops.s_factors * (m.u0 + m.v0)[None, :], cfg.picard_tol,
+                         cfg.picard_max_iters, "no contraction after {} of {} iterations")
+    return Trajectory(ops.dt, states, forcing)
 
 
 def mild_residual(m: ModelSpec, traj: Trajectory) -> float:
     """Sup-norm defect of the trajectory under one more map application."""
     ops = build_grid_operators(m, traj.n_steps)
     new = _picard_sweep(m, ops, traj.states, traj.forcing)
-    return float(np.max(np.linalg.norm(new - traj.states, axis=1)))
+    return float(np.max(_norm(new - traj.states, axis=1)))

@@ -440,6 +440,10 @@ class TestOverflowEndsInOneLine:
     # stderr, and so does a layout whose live channel is not the last
     SHIPPED = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
     NODE = math.pi * float(gauss_legendre(config._GAUSS_NODES)[0][0])
+    # a linear model whose start is past 1.3e154, where squares overflow
+    LINEAR = SHIPPED[SHIPPED.index("u0 = "):SHIPPED.index("\n\n[solver]")]
+    HUGE_START = (LINEAR.replace("gaussian_bump(1.0, 0.35)", "single_mode(1, 1e160)")
+                  .replace("bounded_tanh(0.1)", "zero"))
 
     def _run(self, tmp_path, old, new, command):
         assert old in self.SHIPPED
@@ -459,9 +463,18 @@ class TestOverflowEndsInOneLine:
         ("u0 = gaussian_bump(1.0, 0.35)\nv0 = zero",
          "u0 = single_mode(1, 1e308)\nv0 = single_mode(1, 1e308)", "simulate", 2,
          "[model]: u0 + v0 overflows"),
-        # bounded, but the first change of the iterate overflows its norm
+        # bounded, but F's bound dwarfs the state: no contraction, and no
+        # stall either, since the last change is as large as the iterate
         ("bounded_tanh(0.1)", "bounded_tanh(1e300)", "simulate", 1,
-         "simulate: no contraction after 1 of 200 iterations (last change inf)"),
+         "simulate: no contraction after 200 of 200 iterations "
+         "(last change 1.193e+300)"),
+        # every change and residual norm is scaled: no square overflows
+        (LINEAR, HUGE_START, "simulate", 0, None),
+        (LINEAR, HUGE_START, "sweep", 0, None),
+        (LINEAR, HUGE_START, "synthesize", 0, None),
+        # the iteration contracts to rounding, below which no tolerance holds
+        ("picard_tol = 1e-10", "picard_tol = 1e-300", "simulate", 1,
+         "; it stalled at rounding, within 8 eps of the iterate's norm"),
         # each coefficient is finite, the norm every residual measures is not
         ("target = gaussian_bump(1.5707963267948966, 0.4)",
          "target = single_mode(1, 1e308)", "sweep", 2,
@@ -498,6 +511,8 @@ class TestOverflowEndsInOneLine:
          "simulate", 2, "line 9: [model] eigenvalues: the stiffest mode's "
          "Mittag-Leffler argument -lambda t^alpha overflows at t = 2.0"),
     ], ids=["underflowing-bump", "overflowing-start", "huge-tanh",
+            "huge-start-simulate", "huge-start-sweep", "huge-start-synthesize",
+            "stall-at-rounding",
             "overflowing-target-norm", "underflowing-grammian-sweep",
             "underflowing-grammian-synthesize", "overflowing-grammian-sweep",
             "unsteered-channel-sweep", "unsteered-channel-synthesize",

@@ -10,17 +10,28 @@ is marked ``slow``; run it with ``pytest -m slow``.
 The control slice checks the paper's claim on the shipped model, steered
 by one control through one delayed channel or through several live
 ones: over beta = 1e-2, 1e-4, 1e-6 the closed loop converges, its
-residual falls strictly and ends below 1% of the uncontrolled gap.
+residual falls strictly and ends below 1% of the uncontrolled gap.  At
+each fixed point it also checks the paper's identity behind that decay,
+x_beta(b) - target = -beta (beta I + Gamma)^{-1} p(x_beta) mode by mode,
+and that residual / beta settles (towards |Gamma^{-1} p|) as beta falls.
+
+The generated configs draw every key at random, at scales up to 10^±300,
+and run the CLI in-process: each must exit 0 with a finite CSV, exit 2
+naming its key, or exit 1 with the failure record and one stderr line.
 """
 
 import itertools
+import math
+import random
 import re
 
 import numpy as np
 import pytest
 
+from fracsteer import config, control
+from fracsteer.cli import main
 from fracsteer.config import parse_config
-from fracsteer.control import beta_sweep
+from fracsteer.control import beta_sweep, compute_grammian, residual_p
 from fracsteer.errors import ConfigError
 from fracsteer.solver import picard_solve
 
@@ -121,12 +132,182 @@ def _control_cases():
         yield pytest.param(a, delays, mults, terms, id=name, marks=marks)
 
 
+# the identity's defect comes from the outer tolerance (1e-8): over the
+# whole slice it measured 2.3e-12 to 2.7e-10, and a Grammian off by a
+# relative 1e-6 makes it at least 4.7e-7
+IDENTITY_BOUND = 1e-9
+
+
 @pytest.mark.parametrize("alpha, delays, multipliers, terms", list(_control_cases()))
-def test_steering_approaches_the_target(alpha, delays, multipliers, terms):
+def test_steering_approaches_the_target(alpha, delays, multipliers, terms, monkeypatch):
     cfg = parse_config(_CONTROL_TEMPLATE.format(alpha=alpha, delays=delays,
                                                 multipliers=multipliers, terms=terms))
+    loops = []
+
+    def recorded(cp, solver_cfg, solve=control.closed_loop_solve):
+        traj, residual = solve(cp, solver_cfg)
+        loops.append((cp, traj))
+        return traj, residual
+
+    monkeypatch.setattr(control, "closed_loop_solve", recorded)
     rep = beta_sweep(cfg.problem, cfg.betas, cfg.solver)
     assert all(rep.converged)
     rs = rep.residuals
     assert all(b < a for a, b in zip(rs, rs[1:])), rs
     assert rs[-1] < 0.01 * rep.uncontrolled_gap, (rs[-1], rep.uncontrolled_gap)
+    gram = compute_grammian(cfg.model, cfg.solver.n_steps)
+    for cp, traj in loops:
+        regularized = cp.beta * residual_p(cp, traj) / (cp.beta + gram)
+        defect = np.max(np.abs(traj.states[-1] - cp.target + regularized))
+        assert defect < IDENTITY_BOUND, (cp.beta, defect)
+    # residual / beta = |p / (beta + Gamma)| grows to |Gamma^{-1} p|: its
+    # relative steps measured 0.13-0.42, then 1.6e-3 to 8.6e-3, each at
+    # least 49 times smaller
+    q = [r / b for r, b in zip(rs, rep.betas)]
+    steps = [(b - a) / b for a, b in zip(q, q[1:])]
+    assert steps[0] > 0.0 and 0.0 < steps[1] < min(0.02, steps[0] / 20.0), q
+
+
+# Generated configs: every key of the format drawn at random, at scales up
+# to 10^±300.  Half the draws keep the shipped text, so 123 of the 300
+# configs get past parsing, most with a key or two at an extreme.
+# ``--steps 16`` replaces the drawn step count, and the integer budgets
+# stay small, so each case runs in well under a second.
+GENERATED = 300
+GENERATED_TIER1 = 40  # the first cases; the rest are ``slow``
+_CSV = {"simulate": "simulate.csv", "sweep": "sweep.csv", "synthesize": "control.csv"}
+
+
+def _listed(items) -> str:
+    return ", ".join(items) or "none"
+
+
+def _number(rng, shipped: float) -> str:
+    r = rng.random()
+    if r < 0.5:
+        return repr(shipped)
+    if r < 0.85:
+        return repr(shipped * rng.uniform(0.1, 2.0))
+    value = 10.0 ** rng.uniform(-300.0, 300.0)
+    return repr(-value if rng.random() < 0.25 else value)
+
+
+def _shape(rng, n: int) -> str:
+    kind = rng.choice(("zero", "single_mode", "gaussian_bump"))
+    if kind == "zero":
+        return kind
+    if kind == "single_mode":
+        return f"single_mode({rng.randint(1, n)}, {_number(rng, 1.0)})"
+    return f"gaussian_bump({_number(rng, 1.5)}, {_number(rng, 0.4)})"
+
+
+def _channels(rng):
+    """(delays, multipliers) of up to two channels."""
+    delays, mults = [], []
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.choice(("identity", "scaled_sine", "constant_lag"))
+        delays.append(kind if kind == "identity" else
+                      f"{kind}({_number(rng, 1.0 if kind == 'scaled_sine' else 0.1)})")
+        mults.append(rng.choice(("laplacian", "identity", "zero",
+                                 f"constant({_number(rng, 1.0)})")))
+    return _listed(delays), _listed(mults)
+
+
+def _drawn_config(rng):
+    """(config text, command) with a value drawn for every key of ``_KEYS``."""
+    n = rng.randint(1, 48)
+    sd, sm = _channels(rng)
+    cd, cm = _channels(rng)
+    lam = [_number(rng, float(k * k)) for k in range(1, n + 1)]
+    betas = sorted({float(_number(rng, 0.01)) for _ in range(rng.randint(1, 3))},
+                   reverse=True)
+    kappa = _number(rng, 0.1)
+    values = {
+        "model": {
+            "alpha": _number(rng, 0.5), "horizon": _number(rng, 1.0),
+            "truncation": str(n),
+            "eigenvalues": "default" if rng.random() < 0.7 else _listed(lam),
+            "u0": _shape(rng, n), "v0": _shape(rng, n),
+            "state_delays": sd, "state_multipliers": sm,
+            "control_delays": cd, "control_multipliers": cm,
+            "nonlocal_terms": _listed(f"{_number(rng, 0.1)}:{_number(rng, 0.25 * (k + 1))}"
+                                      for k in range(rng.randint(0, 2))),
+            "nonlinearity": rng.choice(("zero", f"bounded_tanh({kappa})",
+                                        f"linear_feedback({kappa})")),
+        },
+        "solver": {"n_steps": str(rng.randint(8, 64)),
+                   "picard_tol": _number(rng, 1e-10),
+                   "picard_max_iters": str(rng.randint(1, 200))},
+        "control": {"target": _shape(rng, n), "betas": _listed(map(repr, betas)),
+                    "outer_tol": _number(rng, 1e-8),
+                    "outer_max_iters": str(rng.randint(1, 30))},
+        "output": {"dir": "out",
+                   "x_points": _listed(_number(rng, 1.0) for _ in range(rng.randint(0, 2)))},
+    }
+    assert {s: list(keys) for s, keys in values.items()} == {
+        s: list(keys) for s, keys in config._KEYS.items()}
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in values.items())
+    return text, rng.choice(tuple(_CSV))
+
+
+# case index -> the defect it shows, which no change has mended yet.
+# ModelSpec's own checks (alpha in (0, 1], one positive eigenvalue per
+# mode, increasing nonlocal times) reach the user as "[model]: ..." with
+# no key, so a config that fails them exits 2 without naming its key
+_DEFECTS = dict.fromkeys(
+    (0, 10, 15, 19, 21, 26, 27, 28, 33, 35, 37, 43, 52, 53, 55, 60, 64, 72, 80, 92,
+     98, 106, 108, 112, 113, 119, 126, 129, 137, 143, 151, 159, 177, 179, 180, 187,
+     208, 211, 217, 227, 228, 234, 241, 253, 256, 263, 271, 277, 279, 281),
+    "a ModelSpec check names the section, not the key")
+
+
+def _generated_cases():
+    rng = random.Random(12345)
+    for i in range(GENERATED):
+        text, command = _drawn_config(rng)
+        marks = () if i < GENERATED_TIER1 else (pytest.mark.slow,)
+        if i in _DEFECTS:
+            marks += (pytest.mark.xfail(strict=True, reason=_DEFECTS[i]),)
+        yield pytest.param(text, command, id=f"g{i}-{command}", marks=marks)
+
+
+def _finite_csv(path) -> bool:
+    """Every row value and the residual or gap of a success CSV is finite."""
+    lines = path.read_text().splitlines()
+    values = [line.split(" = ")[1] for line in lines
+              if line.startswith(("# terminal_residual", "# uncontrolled_gap"))]
+    rows = [line for line in lines if not line.startswith("#")][1:]  # past the header
+    values += [v for row in rows for v in row.split(",")]
+    return all(math.isfinite(float(v)) for v in values)
+
+
+@pytest.mark.parametrize("text, command", list(_generated_cases()))
+def test_generated_config_ends_one_of_three_ways(text, command, tmp_path, capsys):
+    # exit 0 with a finite CSV; exit 2 with a last line naming the key; or
+    # exit 1 with the failure record and one line (a sweep may instead flag
+    # a beta that did not settle in its converged column).  A traceback or
+    # a RuntimeWarning (an error under this suite's filter) fails the case
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    try:
+        status = main(["--config", str(path), "--out", str(tmp_path), "--steps", "16",
+                       command])
+    except SystemExit as exc:
+        status = exc.code
+    lines = capsys.readouterr().err.splitlines()
+    if status == 2:
+        section, message = re.search(r"\[(\w+)\]( .*|:.*)$", lines[-1]).groups()
+        assert any(re.search(rf"\b{key}\b", message) for key in config._KEYS[section]), \
+            lines[-1]
+        return
+    csv = tmp_path / _CSV[command]
+    if status == 0:
+        assert lines == [] and _finite_csv(csv)
+        return
+    assert status == 1
+    if "# error = " in csv.read_text():
+        assert len(lines) == 1 and lines[0].startswith(f"{command}: "), lines
+    else:
+        assert command == "sweep" and lines == []
+        assert ",0\n" in csv.read_text()

@@ -10,7 +10,7 @@ import pytest
 from fracsteer import config, control
 from fracsteer.control import (ControlProblem, beta_sweep, closed_loop_solve,
                                compute_grammian, control_energy,
-                               residual_p, resolvent_apply, synthesize_control)
+                               residual_p, synthesize_control)
 from fracsteer.errors import (DomainError, ModelValidationError,
                               PicardDivergenceError)
 from fracsteer.gammafn import gamma
@@ -108,29 +108,28 @@ class TestGrammian:
 
 
 class TestResolvent:
+    # (beta I + Gamma)^{-1} is the division by beta + gamma_n that
+    # synthesize_control applies to p, on the Grammian's own diagonal
     def test_contraction(self):
         m = _model(n=4, alpha=0.7, lam=np.arange(1.0, 5.0) ** 2)
         g = compute_grammian(m, 128)
-        v = np.ones(4)
         for beta in (1e-1, 1e-3):
-            out = resolvent_apply(g, beta, v)
             # beta (beta I + Gamma)^{-1} has norm <= 1
-            assert np.all(beta * np.abs(out) <= 1.0 + 1e-14)
+            assert np.all(beta / (beta + g) <= 1.0)
 
     def test_strong_operator_decay(self):
         m = _model(n=4, alpha=0.7, lam=np.arange(1.0, 5.0) ** 2)
         g = compute_grammian(m, 128)
-        v = np.ones(4)
         betas = [10.0 ** (-k) for k in range(6)]
-        norms = [beta * np.max(np.abs(resolvent_apply(g, beta, v)))
-                 for beta in betas]
+        norms = [np.max(beta / (beta + g)) for beta in betas]
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1e-3
 
     def test_validation(self):
-        g = compute_grammian(_model(), 64)
-        with pytest.raises(DomainError):
-            resolvent_apply(g, 0.0, np.ones(1))
+        # the resolvent needs beta > 0, checked where the problem is built
+        for beta in (0.0, -1e-3):
+            with pytest.raises(DomainError, match="beta must be positive"):
+                ControlProblem(model=_model(), target=np.ones(1), beta=beta)
 
 
 class TestResidualP:

@@ -10,8 +10,8 @@ from fracsteer.errors import (DomainError, GridMismatchError,
                               PicardDivergenceError)
 from fracsteer.gammafn import gamma
 from fracsteer.solver import (SolverConfig, Trajectory, _interp_rows,
-                              _interp_stencil, _nonlinearity_rows,
-                              build_grid_operators, mild_residual,
+                              _interp_stencil, _nonlinearity_rows, _norm,
+                              build_grid_operators, fixed_point, mild_residual,
                               nonlocal_offset_factor, nonlocal_offsets,
                               picard_solve)
 from fracsteer.special import ml
@@ -164,6 +164,8 @@ class TestPicard:
         with pytest.raises(PicardDivergenceError) as e:
             picard_solve(m, SolverConfig(n_steps=32, picard_max_iters=40))
         assert len(e.value.residual_history) == 40
+        # a change that grows is no stall at rounding
+        assert "stalled" not in str(e.value)
 
     def test_causality(self):
         # perturbing a control sample in the future leaves every earlier
@@ -199,3 +201,44 @@ class TestPicard:
         with pytest.raises(GridMismatchError):
             picard_solve(m, SolverConfig(n_steps=32),
                          control=np.zeros((10, 2)))
+
+
+class TestNorm:
+    def test_equal_to_the_plain_norm_where_that_does_not_overflow(self):
+        # a power-of-two scale is exact: rows (axis=1) and vectors (a dot
+        # product) read bit for bit what np.linalg.norm reads
+        rng = np.random.default_rng(7)
+        for scale in (1e-100, 1e-10, 1.0, 3e7, 1e100):
+            a = scale * rng.standard_normal((33, 8))
+            assert np.array_equal(_norm(a, axis=1), np.linalg.norm(a, axis=1))
+            assert _norm(a[5]) == np.linalg.norm(a[5])
+
+    def test_no_overflow_past_the_square_root_of_the_largest_double(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _norm(np.array([3e300, 4e300])) == pytest.approx(5e300, rel=1e-15)
+            rows = _norm(np.array([[1e160, 0.0], [0.0, -1e200]]), axis=1)
+            assert np.array_equal(rows, [1e160, 1e200])
+        assert _norm(np.zeros(3)) == 0.0
+
+
+class TestFixedPoint:
+    FAILURE = "no contraction after {} of {} iterations"
+
+    def test_a_stall_at_rounding_says_so(self):
+        # the iterate flips between 1 and the next double: the change is one
+        # ulp of its norm, and no tolerance below that can be met
+        up = np.nextafter(1.0, 2.0)
+        with pytest.raises(PicardDivergenceError) as e:
+            fixed_point(lambda x: np.where(x == 1.0, up, 1.0), np.ones((3, 1)),
+                        1e-300, 5, self.FAILURE)
+        assert str(e.value) == (
+            "no contraction after 5 of 5 iterations (last change 2.220e-16); it "
+            "stalled at rounding, within 8 eps of the iterate's norm 1.000e+00")
+        assert e.value.residual_history == [2.0 ** -52] * 5
+
+    def test_a_change_that_does_not_shrink_is_no_stall(self):
+        with pytest.raises(PicardDivergenceError) as e:
+            fixed_point(lambda x: x + 1e-3, np.ones((3, 2)), 1e-10, 4, self.FAILURE)
+        assert str(e.value) == ("no contraction after 4 of 4 iterations "
+                                "(last change 1.414e-03)")
