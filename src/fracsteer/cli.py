@@ -118,6 +118,9 @@ def run_sweep(cfg, path) -> int:
                     report.control_energies, report.converged))
     _write_csv(path, _meta(cfg) + [("uncontrolled_gap", _fmt(report.uncontrolled_gap))],
                ["beta", "residual", "control_energy", "converged"], rows)
+    for beta, failure in zip(report.betas, report.failures):
+        if failure:
+            print(f"sweep: beta = {beta!r}: {failure}", file=sys.stderr)
     return 0 if all(report.converged) else 1
 
 

@@ -6,10 +6,11 @@ are comma-separated at the top level (parentheses protect their
 arguments), named shapes and delay/multiplier/nonlinearity descriptors
 use a small closed vocabulary.  Every key is declared once, in
 ``_KEYS``, with its parser, its canonical emitter and its default.
-Parsing validates everything a ModelSpec and a ControlProblem would,
-reporting the offending key and, where applicable, the violated
-hypothesis; ``to_text`` re-emits a canonical form whose parse yields an
-identical configuration.
+Parsing checks the syntax of each value; every rule on the values is
+owned by the class that needs it (ModelSpec, SolverConfig,
+ControlProblem, ``control.sweep_betas``), built here, and each rejection
+reads ``line L: [section] key: message [violates (Hn)]``.  ``to_text``
+re-emits a canonical form whose parse yields an identical configuration.
 """
 
 import hashlib
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlProblem
-from .errors import ConfigError, ModelValidationError
+from .control import ControlProblem, sweep_betas
+from .errors import ConfigError, DomainError
 from .solver import SolverConfig, time_grid
-from .special import ML_MIN_ALPHA, gauss_legendre
+from .special import gauss_legendre
 from .spectral import DelayFn, ModelSpec, NonlinearityFn
 
 _GAUSS_NODES = 400
@@ -64,13 +65,6 @@ def _finite(text: str, n=None) -> float:
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text.strip()!r}")
     return value
-
-
-def _order(text: str, n=None) -> float:
-    alpha = _finite(text)
-    if 0.0 < alpha < ML_MIN_ALPHA:  # (0, 1] itself is ModelSpec's check
-        raise ValueError(f"orders below {ML_MIN_ALPHA:g} are not supported, got {alpha!r}")
-    return alpha
 
 
 def _int(text: str, n=None) -> int:
@@ -222,16 +216,6 @@ def _descriptor_text(d, text=None) -> str:
     return d.kind if d.kind in _BARE_KINDS else f"{d.kind}({_fmt(d.param)})"
 
 
-def _nonlinearity(text: str, n: int) -> NonlinearityFn:
-    f = _descriptor(NonlinearityFn)(text)
-    # (H6) asks for a finite bound on the norm of F: |kappa| sqrt(N) for tanh
-    if f.kind == "bounded_tanh" and not math.isfinite(abs(f.param) * math.sqrt(n)):
-        raise ModelValidationError(
-            f"the norm bound |kappa| sqrt({n}) of {text} is not finite",
-            hypothesis="(H6)")
-    return f
-
-
 def _eigenvalues(text: str, n=None):
     return None if text == "default" else tuple(_finite(v) for v in _split_top(text))
 
@@ -246,18 +230,6 @@ def _pair(text: str, n=None) -> tuple:
     return _finite(c), _finite(t)
 
 
-def _betas(text: str, n=None) -> tuple:
-    """Tikhonov weights: positive and strictly decreasing, as the sweep needs."""
-    betas = tuple(_finite(b) for b in _split_top(text))
-    if not betas:
-        raise ValueError("needs at least one value")
-    if not all(b > 0.0 for b in betas):
-        raise ValueError(f"all values must be positive, got {text!r}")
-    if any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError(f"values must be strictly decreasing, got {text!r}")
-    return betas
-
-
 # section -> key -> (parse, emit, default text or None if required), in
 # canonical order.  Every parser takes (text, truncation) and every emitter
 # (value, text), most ignoring the second; a key whose parser needs the
@@ -269,7 +241,7 @@ _DELAYS = (_listed(_descriptor(DelayFn)), _joined(_descriptor_text), "none")
 _MULTIPLIERS = (_listed(_multiplier), _given, "none")
 _KEYS = {
     "model": {
-        "alpha": (_order, _fmt, None),
+        "alpha": (_finite, _fmt, None),
         "horizon": (_finite, _fmt, "1.0"),
         "truncation": (_positive(_int), _fmt, None),
         "eigenvalues": (_eigenvalues, _eigenvalues_text, "default"),
@@ -281,7 +253,7 @@ _KEYS = {
         "control_multipliers": _MULTIPLIERS,
         "nonlocal_terms": (_listed(_pair), _joined(lambda p: ":".join(map(_fmt, p))),
                            "none"),
-        "nonlinearity": (_nonlinearity, _descriptor_text, "zero"),
+        "nonlinearity": (_descriptor(NonlinearityFn), _descriptor_text, "zero"),
     },
     "solver": {
         "n_steps": (_int, _fmt, "128"),
@@ -290,15 +262,30 @@ _KEYS = {
     },
     "control": {
         "target": _SHAPE,
-        "betas": (_betas, _joined(_fmt), "0.1, 0.01, 0.001, 0.0001"),
-        "outer_tol": (_positive(_finite), _fmt, "1e-8"),
-        "outer_max_iters": (_positive(_int), _fmt, "100"),
+        "betas": (_listed(_finite), _joined(_fmt), "0.1, 0.01, 0.001, 0.0001"),
+        "outer_tol": (_finite, _fmt, "1e-8"),
+        "outer_max_iters": (_int, _fmt, "100"),
     },
     "output": {
         "dir": (_text, _given, "out"),
         "x_points": (_listed(_finite), _joined(_fmt), "none"),
     },
 }
+
+
+@contextmanager
+def _reported(section: str, lines: dict, key=None):
+    """Any ValueError as the ConfigError ``line L: [section] key: message
+    [violates (Hn)]``: the key being parsed, else the error's own ``key``
+    (with neither, the section alone), and the line of that key's text."""
+    try:
+        yield
+    except ValueError as exc:
+        key = key or getattr(exc, "key", None)
+        hypothesis = getattr(exc, "hypothesis", None)
+        hint = f" [violates {hypothesis}]" if hypothesis else ""
+        where = f"[{section}] {key}" if key else f"[{section}]"
+        raise ConfigError(f"{where}: {exc}{hint}", line=lines.get((section, key))) from None
 
 
 def _check_reach(model: dict, t: float, lines: dict):
@@ -311,11 +298,11 @@ def _check_reach(model: dict, t: float, lines: dict):
         lam_max = float(model["truncation"]) ** 2 if lam is None else max(lam, default=0.0)
     except OverflowError:
         lam_max = math.inf
-    if not math.isfinite(lam_max * t ** alpha):
-        key = "truncation" if lam is None else "eigenvalues"
-        raise ConfigError(f"[model] {key}: the stiffest mode's Mittag-Leffler "
-                          f"argument -lambda t^alpha overflows at t = {t!r}",
-                          line=lines.get(("model", key)))
+    with _reported("model", lines):
+        if not math.isfinite(lam_max * t ** alpha):
+            raise DomainError("the stiffest mode's Mittag-Leffler argument "
+                              f"-lambda t^alpha overflows at t = {t!r}",
+                              key="truncation" if lam is None else "eigenvalues")
 
 
 def _raw_sections(text: str):
@@ -345,17 +332,6 @@ def _raw_sections(text: str):
     return sections, keys
 
 
-@contextmanager
-def _reported(where: str, line=None):
-    """Any ValueError as a ConfigError naming ``where`` and any hypothesis."""
-    try:
-        yield
-    except ValueError as exc:
-        hypothesis = getattr(exc, "hypothesis", None)
-        hint = f" [violates {hypothesis}]" if hypothesis else ""
-        raise ConfigError(f"{where}: {exc}{hint}", line=line) from None
-
-
 def parse_config(text: str, overrides=None) -> ExperimentConfig:
     """Parse and fully validate an experiment configuration.
 
@@ -373,7 +349,7 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
         values[section] = parsed
         for key, (parse, emit, default) in keys.items():
             text = given.get(key, default)
-            with _reported(f"[{section}] {key}", lines.get((section, key))):
+            with _reported(section, lines, key):
                 if text is None:
                     raise ValueError("required key is missing")
                 parsed[key] = parse(text, values["model"].get("truncation"))
@@ -381,18 +357,19 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
             if key == "eigenvalues":  # before any shape is built on the truncation
                 _check_reach(parsed, parsed["horizon"], lines)
         sections.append((section, tuple(canonical)))
-    with _reported("[model]"):
+    with _reported("model", lines):
         spec = ModelSpec(**values["model"])
-    with _reported("[solver]"):
+    with _reported("solver", lines):
         solver_cfg = SolverConfig(**values["solver"])
     # again at the last grid node, which can round past the horizon
     t_max = max(spec.horizon, float(time_grid(spec.horizon, solver_cfg.n_steps)[1][-1]))
     _check_reach(values["model"], t_max, lines)
     control = values["control"]
-    with _reported("[control]"):  # the target's length, finiteness and norm
-        problem = ControlProblem(spec, control["target"], control["betas"][0],
+    with _reported("control", lines):
+        betas = sweep_betas(control["betas"])
+        problem = ControlProblem(spec, control["target"], betas[0],
                                  control["outer_tol"], control["outer_max_iters"])
     output = values["output"]
-    return ExperimentConfig(problem, solver_cfg, control["betas"],
+    return ExperimentConfig(problem, solver_cfg, betas,
                             output_dir=output["dir"], x_points=output["x_points"],
                             sections=tuple(sections))

@@ -30,19 +30,30 @@ class ControlProblem:
 
     def __post_init__(self):
         if self.beta <= 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
+            raise DomainError(f"beta must be positive, got {self.beta}", key="beta")
         object.__setattr__(self, "target", _state_vector(
             "target", self.target, self.model.truncation))
         # every terminal residual is a distance to the target
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(self.target))
         if not math.isfinite(norm):
-            raise ModelValidationError("the norm of target overflows: it must be finite")
+            raise ModelValidationError("the norm of target overflows: it must be finite",
+                                       key="target")
         if self.outer_tol <= 0.0:
-            raise DomainError("outer_tol must be positive")
+            raise DomainError("outer_tol must be positive", key="outer_tol")
         if self.outer_max_iters < 1:
-            raise DomainError(
-                f"outer_max_iters must be >= 1, got {self.outer_max_iters}")
+            raise DomainError(f"outer_max_iters must be >= 1, got {self.outer_max_iters}",
+                              key="outer_max_iters")
+
+
+def sweep_betas(betas) -> tuple:
+    """A sweep's Tikhonov weights as floats: at least one, all positive,
+    strictly decreasing."""
+    bs = tuple(float(b) for b in betas)
+    if not bs or bs[-1] <= 0.0 or any(b2 >= b1 for b1, b2 in zip(bs, bs[1:])):
+        raise DomainError(f"need positive, strictly decreasing values, got {bs}",
+                          key="betas")
+    return bs
 
 
 @dataclass(frozen=True)
@@ -50,14 +61,18 @@ class SweepReport:
     betas: tuple
     residuals: tuple
     control_energies: tuple
-    converged: tuple
+    failures: tuple  # per beta: why its closed loop did not settle, or ""
     uncontrolled_gap: float
 
     def __post_init__(self):
         n = len(self.betas)
         if not (len(self.residuals) == len(self.control_energies)
-                == len(self.converged) == n):
+                == len(self.failures) == n):
             raise DomainError("sweep report columns have mismatched lengths")
+
+    @property
+    def converged(self) -> tuple:
+        return tuple(not f for f in self.failures)
 
 
 def compute_grammian(m: ModelSpec, n_steps: int) -> np.ndarray:
@@ -160,26 +175,22 @@ def control_energy(dt: float, u: np.ndarray) -> float:
 def beta_sweep(cp: ControlProblem, betas, cfg: SolverConfig) -> SweepReport:
     """Run the closed loop over a decreasing beta sequence (serial).
 
-    Non-converged values are flagged and the sweep continues; the report
-    also carries the uncontrolled terminal gap for scale.
+    A value whose closed loop does not settle keeps its divergence message
+    in ``failures``; the report also carries the uncontrolled gap for scale.
     """
-    bs = tuple(float(b) for b in betas)
-    if any(b <= 0.0 for b in bs):
-        raise DomainError("all beta values must be positive")
-    if any(b2 >= b1 for b1, b2 in zip(bs, bs[1:])):
-        raise DomainError("beta values must be strictly decreasing")
+    bs = sweep_betas(betas)
     free = picard_solve(cp.model, cfg, control=None)
     gap = float(_norm(free.states[-1] - cp.target))
-    residuals, energies, flags = [], [], []
+    residuals, energies, failures = [], [], []
     for b in bs:
         cpb = replace(cp, beta=b)
         try:
             traj, res = closed_loop_solve(cpb, cfg)
             residuals.append(res)
             energies.append(control_energy(traj.dt, synthesize_control(cpb, traj)))
-            flags.append(True)
-        except PicardDivergenceError:
+            failures.append("")
+        except PicardDivergenceError as exc:
             residuals.append(math.nan)
             energies.append(math.nan)
-            flags.append(False)
-    return SweepReport(bs, tuple(residuals), tuple(energies), tuple(flags), gap)
+            failures.append(str(exc))
+    return SweepReport(bs, tuple(residuals), tuple(energies), tuple(failures), gap)

@@ -2,7 +2,12 @@
 
 
 class DomainError(ValueError):
-    """A parameter lies outside the supported mathematical domain."""
+    """A parameter lies outside the supported mathematical domain; ``key``
+    names its field, if it has one (the dataclass field, also its config key)."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class GridMismatchError(ValueError):
@@ -13,16 +18,20 @@ class ModelValidationError(ValueError):
     """A model configuration violates one of its construction-time checks.
 
     ``hypothesis`` names the violated condition (e.g. ``"(H5)"``) when the
-    check corresponds to one of the standing assumptions.
+    check corresponds to one of the standing assumptions, and ``key`` the
+    offending field as ``DomainError`` does.
     """
 
-    def __init__(self, message, hypothesis=None):
+    def __init__(self, message, hypothesis=None, key=None):
         super().__init__(message)
         self.hypothesis = hypothesis
+        self.key = key
 
 
 class ConfigError(ValueError):
-    """Experiment configuration text failed to parse or validate."""
+    """Experiment configuration text failed to parse or validate: a key is
+    rejected as ``line L: [section] key: message [violates (Hn)]``, with no
+    line for a key the text did not give (a default or an override)."""
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -19,11 +19,11 @@ import numpy as np
 from .errors import DomainError
 
 
-def _as_alpha(order) -> float:
+def _as_alpha(order, key=None) -> float:
     """The fractional order as a float, checked to lie in (0, 1]."""
     alpha = float(order)
     if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"fractional order must lie in (0, 1], got {alpha}")
+        raise DomainError(f"fractional order must lie in (0, 1], got {alpha}", key=key)
     return alpha
 
 

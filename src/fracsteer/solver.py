@@ -36,11 +36,12 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.n_steps < 8:
-            raise DomainError(f"n_steps must be >= 8, got {self.n_steps}")
+            raise DomainError(f"n_steps must be >= 8, got {self.n_steps}", key="n_steps")
         if self.picard_tol <= 0.0:
-            raise DomainError(f"picard_tol must be positive, got {self.picard_tol}")
+            raise DomainError(f"picard_tol must be positive, got {self.picard_tol}",
+                              key="picard_tol")
         if self.picard_max_iters < 1:
-            raise DomainError("picard_max_iters must be >= 1")
+            raise DomainError("picard_max_iters must be >= 1", key="picard_max_iters")
 
 
 @dataclass(frozen=True)

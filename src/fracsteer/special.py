@@ -47,9 +47,9 @@ _ML_CANCELLATION_LIMIT = 1e4
 _ASYMPTOTIC_TERMS = 24
 _ASYMPTOTIC_MAX_ALPHA = 0.999
 # the beta >= 1 + alpha reduction steps beta down by alpha, each level
-# with a series attempt; ml gives up past this many levels.  Config
-# parsing rejects orders below ML_MIN_ALPHA, where the deepest weight the
-# solver needs, beta = alpha + 2, takes about 1 / alpha levels
+# with a series attempt; ml gives up past this many levels.  ModelSpec
+# rejects orders below ML_MIN_ALPHA, where the deepest weight the solver
+# needs, beta = alpha + 2, takes about 1 / alpha levels
 _ML_MAX_LEVELS = 4096
 ML_MIN_ALPHA = 5e-4
 # parabolic contour s(u) = mu (1 + iu)^2 of Garrappa's trapezoid rule

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, ModelValidationError
 from .fractional import _as_alpha
 from .gammafn import gamma
-from .special import ml_array
+from .special import ML_MIN_ALPHA, ml_array
 
 _DELAY_KINDS = ("identity", "scaled_sine", "constant_lag")
 _NONLINEARITY_KINDS = ("zero", "bounded_tanh", "linear_feedback")
@@ -34,9 +34,9 @@ def _state_vector(name: str, coeffs, n: int) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (n,):
         raise ModelValidationError(
-            f"{name} has shape {c.shape}, the model needs ({n},)")
+            f"{name} has shape {c.shape}, the model needs ({n},)", key=name)
     if not np.all(np.isfinite(c)):
-        raise ModelValidationError(f"{name} coefficients must be finite")
+        raise ModelValidationError(f"{name} coefficients must be finite", key=name)
     return c
 
 
@@ -119,7 +119,8 @@ class NonlinearityFn:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Immutable model description; all hypothesis checks run here."""
+    """Immutable model description; every check of its fields runs here,
+    (H1), (H5) and (H6) among them, each error naming its field as ``key``."""
 
     truncation: int
     alpha: float
@@ -137,25 +138,31 @@ class ModelSpec:
     def __post_init__(self):
         n = int(self.truncation)
         if n < 1:
-            raise ModelValidationError(f"truncation must be >= 1, got {self.truncation}")
+            raise ModelValidationError(f"truncation must be >= 1, got {self.truncation}",
+                                       key="truncation")
         object.__setattr__(self, "truncation", n)
-        object.__setattr__(self, "alpha", _as_alpha(self.alpha))
+        object.__setattr__(self, "alpha", _as_alpha(self.alpha, key="alpha"))
+        if self.alpha < ML_MIN_ALPHA:
+            raise DomainError(f"orders below {ML_MIN_ALPHA:g} are not supported, "
+                              f"got {self.alpha!r}", key="alpha")
         if self.horizon <= 0.0:
-            raise ModelValidationError(f"horizon must be positive, got {self.horizon}")
+            raise ModelValidationError(f"horizon must be positive, got {self.horizon}",
+                                       key="horizon")
         if self.eigenvalues is None:
             lam = np.arange(1, n + 1, dtype=float) ** 2
         else:
             lam = np.asarray(self.eigenvalues, dtype=float)
         if lam.shape != (n,) or np.any(lam <= 0.0):
-            raise ModelValidationError(
-                "need exactly one positive eigenvalue per mode", hypothesis="(H1)")
+            raise ModelValidationError("need exactly one positive eigenvalue per mode",
+                                       hypothesis="(H1)", key="eigenvalues")
         object.__setattr__(self, "eigenvalues", lam)
         for name in ("u0", "v0"):
             object.__setattr__(self, name, _state_vector(name, getattr(self, name), n))
         with np.errstate(over="ignore"):
             start = self.u0 + self.v0  # the solver's starting offset
         if not np.all(np.isfinite(start)):
-            raise ModelValidationError("u0 + v0 overflows: their sum must be finite")
+            raise ModelValidationError("u0 + v0 overflows: their sum must be finite",
+                                       key="v0")
 
         object.__setattr__(self, "state_delays", tuple(self.state_delays))
         object.__setattr__(self, "control_delays", tuple(self.control_delays))
@@ -165,27 +172,34 @@ class ModelSpec:
             sm = tuple(-lam for _ in self.state_delays)
         if not cm:
             cm = tuple(np.ones(n) for _ in self.control_delays)
-        if len(sm) != len(self.state_delays):
-            raise ModelValidationError(
-                f"{len(self.state_delays)} state delays but {len(sm)} multipliers")
-        if len(cm) != len(self.control_delays):
-            raise ModelValidationError(
-                f"{len(self.control_delays)} control delays but {len(cm)} multipliers")
-        for a in sm + cm:
-            if a.shape != (n,):
+        for kind, delays, mults in (("state", self.state_delays, sm),
+                                    ("control", self.control_delays, cm)):
+            key = f"{kind}_multipliers"
+            if len(mults) != len(delays):
                 raise ModelValidationError(
-                    f"multiplier shape {a.shape} != ({n},)")
-        object.__setattr__(self, "state_multipliers", sm)
-        object.__setattr__(self, "control_multipliers", cm)
+                    f"{len(delays)} {kind} delays but {len(mults)} multipliers", key=key)
+            for a in mults:
+                if a.shape != (n,):
+                    raise ModelValidationError(
+                        f"multiplier shape {a.shape} != ({n},)", key=key)
+            object.__setattr__(self, key, mults)
 
         terms = tuple((float(c), float(tk)) for c, tk in self.nonlocal_terms)
         times = [tk for _, tk in terms]
         if any(not (0.0 < tk < self.horizon) for tk in times):
-            raise ModelValidationError(
-                "nonlocal times must lie strictly inside (0, horizon)")
+            raise ModelValidationError("nonlocal times must lie strictly inside "
+                                       "(0, horizon)", key="nonlocal_terms")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ModelValidationError("nonlocal times must be strictly increasing")
+            raise ModelValidationError("nonlocal times must be strictly increasing",
+                                       key="nonlocal_terms")
         object.__setattr__(self, "nonlocal_terms", terms)
+
+        # (H6) asks for a finite bound on the norm of F: |kappa| sqrt(N) for tanh
+        f = self.nonlinearity
+        if f.kind == "bounded_tanh" and not math.isfinite(abs(f.param) * math.sqrt(n)):
+            raise ModelValidationError(f"the norm bound |kappa| sqrt({n}) of "
+                                       f"bounded_tanh({f.param!r}) is not finite",
+                                       hypothesis="(H6)", key="nonlinearity")
 
     # --- per-mode eigenfactors -------------------------------------------
 

@@ -262,7 +262,8 @@ class TestUsageErrors:
         cfg = _cfg_file(tmp_path, SMALL.replace("alpha = 0.6", "alpha = 2"))
         status, output = _run_cli("--config", cfg, "--out", str(tmp_path), "simulate")
         assert status == 2
-        assert f"{cfg}: [model]: fractional order must lie in (0, 1], got 2.0" in output
+        assert (f"{cfg}: line 3: [model] alpha: fractional order must lie in (0, 1], "
+                "got 2.0") in output
         assert "Traceback" not in output
 
     @pytest.mark.parametrize("content", [None, b"\xff\xfe[model]\n"])
@@ -432,6 +433,24 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err.startswith("synthesize: ") and err.count("\n") == 1
 
+    def test_sweep_says_why_each_beta_did_not_settle(self, tmp_path, capsys):
+        # each beta keeps its row, flagged in the converged column, and
+        # gets one line with its divergence message
+        text = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
+        cfg = _cfg_file(tmp_path, text.replace("outer_max_iters = 100\n",
+                                               "outer_max_iters = 1\n"))
+        out = str(tmp_path / "o")
+        assert main(["--config", cfg, "--out", out, "--steps", "16", "sweep"]) == 1
+        _, header, rows = _read_csv(os.path.join(out, "sweep.csv"))
+        assert header == ["beta", "residual", "control_energy", "converged"]
+        assert [row[1:] for row in rows] == [["nan", "nan", "0"]] * 4
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ", 2)[:2] for line in lines] == [
+            ["sweep", f"beta = {beta}"] for beta in ("0.1", "0.01", "0.001", "0.0001")]
+        assert all(line.split(": ", 2)[2].startswith(
+            "control/trajectory alternation did not settle after 1 of 1 rounds")
+            for line in lines)
+
 
 class TestOverflowEndsInOneLine:
     # each config overflows or underflows a double on the way; the run ends
@@ -458,11 +477,11 @@ class TestOverflowEndsInOneLine:
         # 2 w^2 underflows, and the bump is 0/0 on its centre node
         ("target = gaussian_bump(1.5707963267948966, 0.4)",
          f"target = gaussian_bump({NODE!r}, 1e-300)", "simulate", 2,
-         "[control]: target coefficients must be finite"),
+         "line 25: [control] target: target coefficients must be finite"),
         # each state is finite, their sum is not
         ("u0 = gaussian_bump(1.0, 0.35)\nv0 = zero",
          "u0 = single_mode(1, 1e308)\nv0 = single_mode(1, 1e308)", "simulate", 2,
-         "[model]: u0 + v0 overflows"),
+         "line 11: [model] v0: u0 + v0 overflows"),
         # bounded, but F's bound dwarfs the state: no contraction, and no
         # stall either, since the last change is as large as the iterate
         ("bounded_tanh(0.1)", "bounded_tanh(1e300)", "simulate", 1,
@@ -478,7 +497,7 @@ class TestOverflowEndsInOneLine:
         # each coefficient is finite, the norm every residual measures is not
         ("target = gaussian_bump(1.5707963267948966, 0.4)",
          "target = single_mode(1, 1e308)", "sweep", 2,
-         "[control]: the norm of target overflows"),
+         "line 25: [control] target: the norm of target overflows"),
         # the steering multiplier squared underflows: gamma_n = 0 everywhere
         ("control_multipliers = zero, identity",
          "control_multipliers = zero, constant(1e-300)", "sweep", 1,

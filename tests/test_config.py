@@ -178,6 +178,51 @@ class TestDiagnostics:
         assert cfg.model.nonlinearity.param == 1e300
 
 
+class TestOwnedChecks:
+    # each rule is checked by the class that needs it (ModelSpec,
+    # SolverConfig, ControlProblem); its rejection names the key, and the
+    # key's line in the shipped text
+    @pytest.mark.parametrize("old, new, line, section, key", [
+        ("alpha = 0.5", "alpha = 1.5", 6, "model", "alpha"),
+        ("alpha = 0.5", "alpha = 0", 6, "model", "alpha"),
+        ("horizon = 1.0", "horizon = -1.0", 7, "model", "horizon"),
+        ("eigenvalues = default", "eigenvalues = 1, 4", 9, "model", "eigenvalues"),
+        ("0.05:0.5", "0.05:1.5", 16, "model", "nonlocal_terms"),
+        ("0.1:0.25, 0.05:0.5", "0.1:0.5, 0.05:0.25", 16, "model", "nonlocal_terms"),
+        ("state_multipliers = laplacian", "state_multipliers = laplacian, identity", 13,
+         "model", "state_multipliers"),
+        ("control_multipliers = zero, identity", "control_multipliers = zero", 15,
+         "model", "control_multipliers"),
+        ("u0 = gaussian_bump(1.0, 0.35)\nv0 = zero",
+         "u0 = single_mode(1, 1e308)\nv0 = single_mode(1, 1e308)", 11, "model", "v0"),
+        ("picard_tol = 1e-10", "picard_tol = 0", 21, "solver", "picard_tol"),
+        ("picard_max_iters = 200", "picard_max_iters = 0", 22, "solver",
+         "picard_max_iters"),
+        ("target = gaussian_bump(1.5707963267948966, 0.4)",
+         "target = single_mode(1, 1e308)", 25, "control", "target"),
+    ])
+    def test_rejection_names_key_and_line(self, old, new, line, section, key):
+        text = _default_text()
+        assert old in text
+        with pytest.raises(ConfigError) as e:
+            parse_config(text.replace(old, new, 1))
+        assert str(e.value).startswith(f"line {line}: [{section}] {key}: "), str(e.value)
+        assert e.value.line == line
+
+    def test_hypothesis_after_the_message(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config(_default_text().replace("eigenvalues = default",
+                                                 "eigenvalues = 1, -4"))
+        assert str(e.value).startswith("line 9: [model] eigenvalues: ")
+        assert str(e.value).endswith(" [violates (H1)]")
+
+    def test_override_has_no_line(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config(_default_text(), {("solver", "n_steps"): "4"})
+        assert str(e.value) == "[solver] n_steps: n_steps must be >= 8, got 4"
+        assert e.value.line is None
+
+
 class TestNonFiniteNumbers:
     # every float of the format goes through one check; before it, these
     # diverged, failed inside the solver or ran to NaN columns
@@ -215,7 +260,7 @@ class TestNonFiniteNumbers:
         text = MINIMAL + f"[{section}]\n{key} = gaussian_bump({center!r}, 1e-300)\n"
         with np.errstate(all="ignore"), pytest.raises(ConfigError) as e:
             parse_config(text)
-        assert f"[{section}]: {key} coefficients must be finite" in str(e.value)
+        assert str(e.value) == f"line 6: [{section}] {key}: {key} coefficients must be finite"
 
 
 class TestControlValues:

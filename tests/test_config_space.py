@@ -251,25 +251,23 @@ def _drawn_config(rng):
     return text, rng.choice(tuple(_CSV))
 
 
-# case index -> the defect it shows, which no change has mended yet.
-# ModelSpec's own checks (alpha in (0, 1], one positive eigenvalue per
-# mode, increasing nonlocal times) reach the user as "[model]: ..." with
-# no key, so a config that fails them exits 2 without naming its key
-_DEFECTS = dict.fromkeys(
-    (0, 10, 15, 19, 21, 26, 27, 28, 33, 35, 37, 43, 52, 53, 55, 60, 64, 72, 80, 92,
-     98, 106, 108, 112, 113, 119, 126, 129, 137, 143, 151, 159, 177, 179, 180, 187,
-     208, 211, 217, 227, 228, 234, 241, 253, 256, 263, 271, 277, 279, 281),
-    "a ModelSpec check names the section, not the key")
-
-
 def _generated_cases():
     rng = random.Random(12345)
     for i in range(GENERATED):
         text, command = _drawn_config(rng)
         marks = () if i < GENERATED_TIER1 else (pytest.mark.slow,)
-        if i in _DEFECTS:
-            marks += (pytest.mark.xfail(strict=True, reason=_DEFECTS[i]),)
         yield pytest.param(text, command, id=f"g{i}-{command}", marks=marks)
+
+
+def _key_lines(text) -> dict:
+    """(section, key) -> the line of each key of a generated config."""
+    lines, section = {}, None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("["):
+            section = line[1:-1]
+        else:
+            lines[(section, line.split(" = ")[0])] = lineno
+    return lines
 
 
 def _finite_csv(path) -> bool:
@@ -284,10 +282,11 @@ def _finite_csv(path) -> bool:
 
 @pytest.mark.parametrize("text, command", list(_generated_cases()))
 def test_generated_config_ends_one_of_three_ways(text, command, tmp_path, capsys):
-    # exit 0 with a finite CSV; exit 2 with a last line naming the key; or
-    # exit 1 with the failure record and one line (a sweep may instead flag
-    # a beta that did not settle in its converged column).  A traceback or
-    # a RuntimeWarning (an error under this suite's filter) fails the case
+    # exit 0 with a finite CSV; exit 2 with a last line naming the key and
+    # its line; or exit 1 with the failure record and one line (a sweep may
+    # instead flag each beta that did not settle in its converged column,
+    # with one line each).  A traceback or a RuntimeWarning (an error under
+    # this suite's filter) fails the case
     path = tmp_path / "exp.cfg"
     path.write_text(text)
     try:
@@ -297,9 +296,14 @@ def test_generated_config_ends_one_of_three_ways(text, command, tmp_path, capsys
         status = exc.code
     lines = capsys.readouterr().err.splitlines()
     if status == 2:
-        section, message = re.search(r"\[(\w+)\]( .*|:.*)$", lines[-1]).groups()
-        assert any(re.search(rf"\b{key}\b", message) for key in config._KEYS[section]), \
-            lines[-1]
+        prefix = f"fracsteer: error: {path}: "
+        assert lines[-1].startswith(prefix), lines[-1]
+        line, section, key = re.match(r"(?:line (\d+): )?\[(\w+)\] (\w+): ",
+                                      lines[-1][len(prefix):]).groups()
+        assert key in config._KEYS[section], lines[-1]
+        # every key is in the text, and --steps overrides its n_steps
+        given = None if key == "n_steps" else _key_lines(text)[(section, key)]
+        assert line == (given and str(given)), lines[-1]
         return
     csv = tmp_path / _CSV[command]
     if status == 0:
@@ -309,5 +313,10 @@ def test_generated_config_ends_one_of_three_ways(text, command, tmp_path, capsys
     if "# error = " in csv.read_text():
         assert len(lines) == 1 and lines[0].startswith(f"{command}: "), lines
     else:
-        assert command == "sweep" and lines == []
-        assert ",0\n" in csv.read_text()
+        assert command == "sweep"
+        rows = [row.split(",") for row in csv.read_text().splitlines()
+                if not row.startswith("#")][1:]  # past the header
+        unsettled = [float(beta) for beta, _, _, converged in rows if converged == "0"]
+        assert unsettled and len(lines) == len(unsettled), lines
+        assert [float(re.match(r"sweep: beta = (\S+): ", line)[1])
+                for line in lines] == unsettled

@@ -318,6 +318,19 @@ class TestBetaSweep:
         with pytest.raises(DomainError):
             beta_sweep(cp, [0.1, -0.01], cfg)
 
+    @pytest.mark.parametrize("betas", [(), (0.1, 0.1), (0.01, 0.1), (0.1, -0.01)])
+    def test_same_rule_as_the_config(self, betas):
+        # the sweep and the [control] betas key share one rule and message
+        cp = ControlProblem(model=_model(), target=np.ones(1), beta=0.1)
+        with pytest.raises(DomainError) as swept:
+            beta_sweep(cp, betas, SolverConfig(n_steps=32))
+        assert swept.value.key == "betas"
+        text = ("[model]\nalpha = 0.5\ntruncation = 1\n[control]\nbetas = "
+                + ", ".join(map(repr, betas)) + "\n")
+        with pytest.raises(config.ConfigError) as parsed:
+            config.parse_config(text)
+        assert str(parsed.value) == f"line 5: [control] betas: {swept.value}"
+
     def test_zero_problem(self):
         m = _model(n=2, lam=[1.0, 4.0])
         cp = ControlProblem(model=m, target=np.zeros(2), beta=0.1)

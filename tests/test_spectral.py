@@ -119,6 +119,42 @@ class TestModelValidation:
         assert np.all(_nonlinearity_rows(
             free, build_grid_operators(free, 8), states) == 0.0)
 
+    def test_unbounded_tanh_rejected(self):
+        # |kappa| sqrt(N) overflows at 1e308 with N = 4: no finite (H6) bound
+        with pytest.raises(ModelValidationError, match=r"sqrt\(4\)") as e:
+            _model(n=4, nonlinearity=NonlinearityFn("bounded_tanh", 1e308))
+        assert e.value.hypothesis == "(H6)" and e.value.key == "nonlinearity"
+        assert _model(n=2, nonlinearity=NonlinearityFn("bounded_tanh", 1e308)).truncation == 2
+
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-300])
+    def test_order_below_the_floor(self, alpha):
+        # the Mittag-Leffler reduction of beta = alpha + 2 takes about
+        # 1/alpha levels: below the floor the model cannot run
+        with pytest.raises(DomainError, match="orders below 0.0005") as e:
+            _model(alpha=alpha)
+        assert e.value.key == "alpha"
+        assert _model(alpha=special.ML_MIN_ALPHA).alpha == special.ML_MIN_ALPHA
+
+    @pytest.mark.parametrize("kw, key", [
+        ({"alpha": 1.5}, "alpha"),
+        ({"truncation": 0}, "truncation"),
+        ({"horizon": 0.0}, "horizon"),
+        ({"eigenvalues": [1.0, -4.0]}, "eigenvalues"),
+        ({"u0": [1.0, math.inf]}, "u0"),
+        ({"u0": [1e308, 0.0], "v0": [1e308, 0.0]}, "v0"),
+        ({"state_delays": (DelayFn("identity"),), "state_multipliers": (1.0, 1.0)},
+         "state_multipliers"),
+        ({"control_delays": (DelayFn("identity"),), "control_multipliers": (np.ones(3),)},
+         "control_multipliers"),
+        ({"nonlocal_terms": ((0.1, 1.5),)}, "nonlocal_terms"),
+    ])
+    def test_error_names_its_field(self, kw, key):
+        args = {"truncation": 2, "alpha": 0.5, "horizon": 1.0, "u0": np.zeros(2),
+                "v0": np.zeros(2), **kw}
+        with pytest.raises((DomainError, ModelValidationError)) as e:
+            ModelSpec(**args)
+        assert e.value.key == key
+
 
 class TestOperatorFamilies:
     def test_semigroup_example(self):
