@@ -151,26 +151,29 @@ def main(argv=None) -> int:
                                             "verify-kernels"])
     args = parser.parse_args(argv)
 
-    cfg = _load_config(args, parser)
-    # the one place that names each command's CSV; built per call, so a
-    # runner rebound on the module (as perfbench's tracer does) is the one run
-    runner, csv_name = {
-        "simulate": (run_simulate, "simulate.csv"),
-        "synthesize": (run_synthesize, "control.csv"),
-        "sweep": (run_sweep, "sweep.csv"),
-        "verify-kernels": (run_verify_kernels, "verify_kernels.csv"),
-    }[args.command]
-    path = os.path.join(_out_dir(cfg, args), csv_name)
+    path = None
     try:
+        cfg = _load_config(args, parser)
+        # the one place that names each command's CSV; built per call, so a
+        # runner rebound on the module (as perfbench's tracer does) is the one run
+        runner, csv_name = {
+            "simulate": (run_simulate, "simulate.csv"),
+            "synthesize": (run_synthesize, "control.csv"),
+            "sweep": (run_sweep, "sweep.csv"),
+            "verify-kernels": (run_verify_kernels, "verify_kernels.csv"),
+        }[args.command]
+        path = os.path.join(_out_dir(cfg, args), csv_name)
         return runner(cfg, path)
-    except (DomainError, ModelValidationError, PicardDivergenceError) as exc:
-        # a run that stops after parsing leaves its CSV (metadata, any
-        # iteration history, the error's name) and one line, not a traceback
-        history = getattr(exc, "residual_history", ())
-        _write_csv(path, _meta(cfg), ["iteration", "change"] if history else (),
-                   enumerate(history),
-                   trailer=[("error", type(exc).__name__)])
-        print(f"{args.command}: {exc}", file=sys.stderr)
+    except (DomainError, ModelValidationError, PicardDivergenceError, MemoryError) as exc:
+        # a run that stops leaves one line, not a traceback, and after parsing
+        # its CSV too: the metadata, any iteration history, the error's name
+        oom = isinstance(exc, MemoryError)  # numpy raises a subclass
+        if path:
+            history = getattr(exc, "residual_history", ())
+            _write_csv(path, _meta(cfg), ["iteration", "change"] if history else (),
+                       enumerate(history),
+                       trailer=[("error", "MemoryError" if oom else type(exc).__name__)])
+        print(f"{args.command}: {'out of memory: ' if oom else ''}{exc}", file=sys.stderr)
         return 1
 
 

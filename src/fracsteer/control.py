@@ -33,9 +33,9 @@ class ControlProblem:
             raise DomainError(f"beta must be positive, got {self.beta}", key="beta")
         object.__setattr__(self, "target", _state_vector(
             "target", self.target, self.model.truncation))
-        # every terminal residual is a distance to the target
+        # every terminal residual is a distance to the target, in this norm
         with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(self.target))
+            norm = float(_norm(self.target))
         if not math.isfinite(norm):
             raise ModelValidationError("the norm of target overflows: it must be finite",
                                        key="target")

@@ -20,7 +20,6 @@ import numpy as np
 from .backend import memory_convolve
 from .errors import DomainError, GridMismatchError, PicardDivergenceError
 from .fractional import ConvolutionKernel, convolution_kernel
-from .gammafn import gamma
 from .special import ml_array
 from .spectral import ModelSpec
 
@@ -105,7 +104,7 @@ def nonlocal_offset_factor(alpha: float, t: float) -> float:
     """Kernel factor t^{1-a}/Gamma(2-a) of the nonlocal integral."""
     if alpha == 1.0:
         return 1.0
-    return t ** (1.0 - alpha) / gamma(2.0 - alpha)
+    return t ** (1.0 - alpha) / math.gamma(2.0 - alpha)
 
 
 def nonlocal_offsets(m: ModelSpec, states: np.ndarray, dt: float, factors):

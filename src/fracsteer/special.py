@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fractional import _as_alpha
-from .gammafn import _sin_pi, gamma, log_gamma, rgamma
+from .gammafn import log_gamma, rgamma
 
 _SERIES_MAX_TERMS = 500
 # Gauss-Legendre nodes of the stable-law integral over [0, pi] (192 miss
@@ -214,6 +214,14 @@ def _ml_series_double(alpha: float, beta: float, z: float):
     return None, math.inf
 
 
+def _sin_pi(x: float) -> float:
+    """sin(pi x), accurate next to the integers: with n = round(x) the
+    remainder r = x - n is exact in doubles and sin(pi x) = (-1)^n sin(pi r)."""
+    n = round(x)
+    s = math.sin(math.pi * (x - n))
+    return -s if n % 2 else s
+
+
 @lru_cache(maxsize=1 << 18)
 def _ml_integral_neg(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z) for z < 0, 0 < alpha < 1, beta < 1 + alpha.
@@ -294,7 +302,7 @@ def _asymptotic_plan(alpha: float, beta: float):
     coeffs = [rgamma(beta - alpha * k) for k in range(1, terms + 1)]
     first = next(k for k, c in enumerate(coeffs) if c != 0.0)
     scale = 1.0 if alpha <= 0.5 else math.sin(math.pi * alpha)
-    bound = gamma(top) / (math.pi * scale)
+    bound = math.gamma(top) / (math.pi * scale)
     eps = 2.0 ** -53
 
     def certified(x):

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DomainError, ModelValidationError
 from .fractional import _as_alpha
-from .gammafn import gamma
 from .special import ML_MIN_ALPHA, ml_array
 
 _DELAY_KINDS = ("identity", "scaled_sine", "constant_lag")
@@ -213,7 +212,7 @@ class ModelSpec:
         """E_{a,a}(-lambda_n t^a) per mode: shape (N,) for a scalar t,
         (len(t), N) for a 1-d array of times.  Read-only; memoized by
         value through ``ml_array``."""
-        return self._alpha_factors(t, self.alpha, 1.0 / gamma(self.alpha))
+        return self._alpha_factors(t, self.alpha, 1.0 / math.gamma(self.alpha))
 
     def _alpha_factors(self, t, beta: float, at_zero: float) -> np.ndarray:
         times = np.asarray(t, dtype=float)

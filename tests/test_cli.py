@@ -2,6 +2,7 @@
 
 import math
 import os
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -452,6 +453,51 @@ class TestRunErrors:
             for line in lines)
 
 
+class TestOutOfMemory:
+    # the child alone runs with a 3 GiB address space; an allocation past it
+    # ends the run in one line, and after parsing in the failure record too
+    SHIPPED = (resources.files("fracsteer") / "data" / "default.cfg").read_text()
+
+    @staticmethod
+    def _limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    def _run(self, tmp_path, text, steps):
+        cfg = _cfg_file(tmp_path, text)
+        # OpenBLAS reserves address space per thread, which on a many-core
+        # host alone could exhaust the limit at import
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+        return subprocess.run(
+            [sys.executable, "-m", "fracsteer.cli", "--config", cfg, "--out",
+             str(tmp_path), "--steps", steps, "simulate"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=self._limit)
+
+    def test_while_parsing(self, tmp_path):
+        # the shipped bumps' basis is truncation x 400 doubles
+        done = self._run(tmp_path, self.SHIPPED.replace(
+            "truncation = 32", "truncation = 100000000"), "16")
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("simulate: out of memory: Unable to allocate ")
+        assert not os.path.exists(tmp_path / "simulate.csv")
+
+    def test_after_parsing(self, tmp_path):
+        # it parses with point shapes; the (steps + 1) x truncation tables do not fit
+        text = (self.SHIPPED.replace("truncation = 32", "truncation = 1000000")
+                .replace("gaussian_bump(1.0, 0.35)", "single_mode(1, 1.0)")
+                .replace("gaussian_bump(1.5707963267948966, 0.4)", "zero"))
+        done = self._run(tmp_path, text, "4096")
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("simulate: out of memory: Unable to allocate ")
+        meta, header, rows = _read_csv(tmp_path / "simulate.csv")
+        assert meta["error"] == "MemoryError" and meta["truncation"] == "1000000"
+        assert header is None and rows == []
+
+
 class TestOverflowEndsInOneLine:
     # each config overflows or underflows a double on the way; the run ends
     # in its one error line, and numpy warns of nothing before it.  A stiff
@@ -494,10 +540,21 @@ class TestOverflowEndsInOneLine:
         # the iteration contracts to rounding, below which no tolerance holds
         ("picard_tol = 1e-10", "picard_tol = 1e-300", "simulate", 1,
          "; it stalled at rounding, within 8 eps of the iterate's norm"),
-        # each coefficient is finite, the norm every residual measures is not
+        # the target's scaled norm is finite, so it parses; the control
+        # amplitude p/(beta + gamma_n) overflows, and every beta's closed
+        # loop ends unsettled, each in its own line
         ("target = gaussian_bump(1.5707963267948966, 0.4)",
-         "target = single_mode(1, 1e308)", "sweep", 2,
-         "line 25: [control] target: the norm of target overflows"),
+         "target = single_mode(1, 1e308)", "sweep", 1,
+         "no contraction after 1 of 200 iterations (last change nan)"),
+        # ... while a target short of that runs
+        ("target = gaussian_bump(1.5707963267948966, 0.4)",
+         "target = single_mode(1, 1e160)", "sweep", 0, None),
+        ("target = gaussian_bump(1.5707963267948966, 0.4)",
+         "target = single_mode(1, 1e160)", "synthesize", 0, None),
+        ("target = gaussian_bump(1.5707963267948966, 0.4)",
+         "target = single_mode(1, 1e300)", "sweep", 0, None),
+        ("target = gaussian_bump(1.5707963267948966, 0.4)",
+         "target = single_mode(1, 1e300)", "synthesize", 0, None),
         # the steering multiplier squared underflows: gamma_n = 0 everywhere
         ("control_multipliers = zero, identity",
          "control_multipliers = zero, constant(1e-300)", "sweep", 1,
@@ -532,7 +589,8 @@ class TestOverflowEndsInOneLine:
     ], ids=["underflowing-bump", "overflowing-start", "huge-tanh",
             "huge-start-simulate", "huge-start-sweep", "huge-start-synthesize",
             "stall-at-rounding",
-            "overflowing-target-norm", "underflowing-grammian-sweep",
+            "overflowing-target-norm", "huge-target-sweep", "huge-target-synthesize",
+            "huger-target-sweep", "huger-target-synthesize", "underflowing-grammian-sweep",
             "underflowing-grammian-synthesize", "overflowing-grammian-sweep",
             "unsteered-channel-sweep", "unsteered-channel-synthesize",
             "overflowing-bump-width", "truncation-2000",
@@ -547,7 +605,11 @@ class TestOverflowEndsInOneLine:
         assert "Warning" not in done.stderr and "Traceback" not in done.stderr
         lines = done.stderr.splitlines()
         assert message in lines[-1]
-        if status == 1:
+        if status == 1 and command == "sweep" and not message.startswith("sweep:"):
+            # every closed loop unsettled: one line per beta of the shipped sweep
+            assert lines == [f"sweep: beta = {b}: {message}"
+                             for b in ("0.1", "0.01", "0.001", "0.0001")]
+        elif status == 1:
             assert len(lines) == 1
 
     def test_huge_target_energies_stay_finite(self, tmp_path):

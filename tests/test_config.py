@@ -198,8 +198,10 @@ class TestOwnedChecks:
         ("picard_tol = 1e-10", "picard_tol = 0", 21, "solver", "picard_tol"),
         ("picard_max_iters = 200", "picard_max_iters = 0", 22, "solver",
          "picard_max_iters"),
+        # 2 w^2 underflows, and the bump is 0/0 on its centre node
         ("target = gaussian_bump(1.5707963267948966, 0.4)",
-         "target = single_mode(1, 1e308)", 25, "control", "target"),
+         f"target = gaussian_bump({math.pi * float(gauss_legendre(config._GAUSS_NODES)[0][0])!r}, "
+         "1e-300)", 25, "control", "target"),
     ])
     def test_rejection_names_key_and_line(self, old, new, line, section, key):
         text = _default_text()

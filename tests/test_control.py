@@ -13,7 +13,6 @@ from fracsteer.control import (ControlProblem, beta_sweep, closed_loop_solve,
                                residual_p, synthesize_control)
 from fracsteer.errors import (DomainError, ModelValidationError,
                               PicardDivergenceError)
-from fracsteer.gammafn import gamma
 from fracsteer.solver import (SolverConfig, Trajectory, build_grid_operators,
                               picard_solve)
 from fracsteer.special import ml
@@ -186,7 +185,7 @@ class TestSynthesis:
         mu = synthesize_control(cp, traj)
         g = compute_grammian(m, 128)
         p = residual_p(cp, traj)
-        expect = 2.0 * (1.0 / gamma(0.5)) * p[0] / (0.2 + g[0])
+        expect = 2.0 * (1.0 / math.gamma(0.5)) * p[0] / (0.2 + g[0])
         assert mu[-1, 0] == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("delay, unread, energy", [
@@ -294,11 +293,15 @@ class TestControlProblem:
         assert np.array_equal(cp.target, [3.0, 4.0])
 
     def test_target_norm_checked(self):
-        # each coefficient is finite, the norm every residual measures is not
+        # each coefficient is finite, and so is the scaled norm of one of
+        # them; the norm of four is not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ModelValidationError, match="norm of target overflows"):
-                ControlProblem(model=_model(n=2), target=[1e308, 0.0], beta=0.1)
+            cp = ControlProblem(model=_model(n=2), target=[1e308, 0.0], beta=0.1)
+            assert cp.target[0] == 1e308
+            with pytest.raises(ModelValidationError, match="norm of target overflows") as e:
+                ControlProblem(model=_model(n=4), target=np.full(4, 1e308), beta=0.1)
+        assert e.value.key == "target"
 
 
 class TestBetaSweep:

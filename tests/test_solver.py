@@ -3,12 +3,12 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from fracsteer.errors import (DomainError, GridMismatchError,
                               PicardDivergenceError)
-from fracsteer.gammafn import gamma
 from fracsteer.solver import (SolverConfig, Trajectory, _interp_rows,
                               _interp_stencil, _nonlinearity_rows, _norm,
                               build_grid_operators, fixed_point, mild_residual,
@@ -80,7 +80,7 @@ class TestNonlocalOffset:
         m = _model(u0=[1.0, 0.0], nonlocal_terms=((0.1, 0.25), (0.05, 0.5)))
         states = np.tile([2.0, -4.0], (17, 1))
         fac = nonlocal_offset_factor(0.5, 1.0)
-        assert fac == pytest.approx(1.0 / gamma(1.5), rel=1e-14)
+        assert fac == pytest.approx(1.0 / math.gamma(1.5), rel=1e-14)
         off = nonlocal_offsets(m, states, 1.0 / 16, fac)
         assert np.allclose(off, [1.0 + fac * 0.15 * 2.0, fac * 0.15 * (-4.0)])
         facs = np.array([0.0, 0.5, fac])
@@ -90,6 +90,14 @@ class TestNonlocalOffset:
 
     def test_classical_factor_is_one(self):
         assert nonlocal_offset_factor(1.0, 0.37) == 1.0
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.999])
+    def test_factor_against_mpmath(self, alpha):
+        for t in (1e-6, 0.5, 1.0, 4.0):
+            with mp.workdps(40):
+                a = mp.mpf(alpha)
+                ref = mp.mpf(t) ** (1 - a) / mp.gamma(2 - a)
+                assert float(abs(nonlocal_offset_factor(alpha, t) / ref - 1)) <= 1e-15
 
 
 class TestDelayedState:

@@ -13,7 +13,6 @@ import pytest
 
 from fracsteer import special, verify
 from fracsteer.errors import DomainError
-from fracsteer.gammafn import gamma, rgamma
 from fracsteer.special import (_wright_integral, _wright_series_double,
                                gauss_legendre, ml, ml_array, underflow_cutoff,
                                wright_pdf)
@@ -156,9 +155,9 @@ class TestDensity:
         # int theta^nu zeta_a(theta) dtheta = Gamma(1+nu)/Gamma(1+a*nu)
         assert wright_moment(0.7, 0.0) == pytest.approx(1.0, rel=1e-8)
         assert wright_moment(0.5, 1.0) == pytest.approx(
-            gamma(2.0) / gamma(1.5), rel=1e-8)
+            math.gamma(2.0) / math.gamma(1.5), rel=1e-8)
         assert wright_moment(0.5, 2.0) == pytest.approx(
-            gamma(3.0) / gamma(2.0), rel=1e-8)
+            math.gamma(3.0) / math.gamma(2.0), rel=1e-8)
 
     def test_normalization(self):
         from scipy.integrate import quad
@@ -306,7 +305,7 @@ class TestMittagLeffler:
 
     def test_value_at_zero(self):
         for a, b in ((0.3, 0.3), (0.5, 1.0), (0.9, 1.9), (0.7, 2.4)):
-            assert ml(a, b, 0.0) == pytest.approx(rgamma(b), rel=1e-13)
+            assert ml(a, b, 0.0) == pytest.approx(1.0 / math.gamma(b), rel=1e-13)
 
     def test_monotone_decay_on_negative_axis(self):
         for a in (0.4, 0.7, 1.0):
@@ -585,7 +584,7 @@ class TestAsymptoticBranch:
         for a in (0.6, 0.9, 0.999):
             for b in (a, 1.0, a + 2.0):
                 coeffs, reach = special._asymptotic_plan(a, b)
-                top = gamma(1.0 - b + a * (terms + 1)) / (math.pi * math.sin(math.pi * a))
+                top = math.gamma(1.0 - b + a * (terms + 1)) / (math.pi * math.sin(math.pi * a))
                 for x in (0.4 * reach, 0.6 * reach):
                     err = abs(special._asymptotic_sum(coeffs, -x) - _ml_oracle(a, b, -x))
                     assert err <= top / x ** (terms + 1)
